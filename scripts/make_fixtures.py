@@ -39,7 +39,8 @@ def main() -> int:
                         default=Path(__file__).resolve().parent.parent / "fixtures")
     args = parser.parse_args()
 
-    args.out.mkdir(parents=True, exist_ok=True)
+    if not args.check:
+        args.out.mkdir(parents=True, exist_ok=True)
     stale = []
     for name, text in fixture_texts().items():
         path = args.out / name

@@ -13,16 +13,15 @@ from .monoid import (InvertibilityFlags, ParseError, PartialMonoid,
                      invertibility_report, is_catenary, parse_monoid,
                      random_monoid, serialize_monoid,
                      total_associativity_witnesses, totalize, validate)
-from .rewriting import (LstdDecomposition, ReductionTrace, RuleSet, TraceStep,
-                        build_rules, convertible_bounded, expansions,
+from .rewriting import (LstdDecomposition, ReductionTrace, TraceStep,
+                        convertible_bounded, expansions,
                         left_standard_decomposition, left_standard_step,
                         left_standard_successors, lstd, lstd_trace,
-                        normal_forms, one_step_reductions, strip_identities)
-from .star import (AssocCounterexample, AssocReport, StarTable,
-                   assoc_modulo_congruence, associativity_iff_confluence,
-                   associativity_search, build_star_table,
+                        normal_forms, one_step_reductions)
+from .star import (AssocCounterexample, AssocReport, assoc_modulo_congruence,
+                   associativity_iff_confluence, associativity_search,
                    quotient_representatives, star)
-from .words import (EMPTY, Word, embed, enumerate_irreducible, format_word,
-                    is_irreducible, is_prefix, parse_word, prefixes)
+from .words import (EMPTY, Word, enumerate_irreducible, format_word,
+                    is_irreducible, parse_word)
 
 __version__ = "0.1.0"

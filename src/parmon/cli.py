@@ -286,6 +286,8 @@ def cmd_random_check(args) -> int:
             catenary_seen += 1
             if not verdict.confluent:
                 failures.append((i, m, "catenary but not confluent"))
+        elif len(m.products) == m.size ** 2:
+            failures.append((i, m, "total but not catenary"))
         if associativity_search(m, 2).associative != verdict.confluent:
             failures.append((i, m, "associativity does not match confluence"))
     if args.json:
@@ -306,6 +308,19 @@ def cmd_random_check(args) -> int:
 
 
 # ------------------------------------------------------------------ wiring
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -345,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("assoc-test", cmd_assoc_test,
             "search for associativity counterexamples")
     p.add_argument("file")
-    p.add_argument("--max-len", type=int, default=2)
+    p.add_argument("--max-len", type=_int_at_least(0), default=2)
     p.add_argument("--all", action="store_true",
                    help="collect every counterexample")
 
@@ -360,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("random-check", cmd_random_check,
             "verdict agreement on random monoids")
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_int_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-carrier", type=int, default=8)
+    p.add_argument("--max-carrier", type=_int_at_least(1), default=8)
 
     return parser
 

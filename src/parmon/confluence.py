@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .monoid import PartialMonoid
+from .monoid import PartialMonoid, forks
 from .rewriting import normal_forms
 from .words import Word
 
@@ -51,24 +51,15 @@ class EssentialTriple:
 
 def essential_critical_pairs(m: PartialMonoid) -> list[EssentialTriple]:
     """Classify every fork, in (x, y, z) index order.  Assumes m validates."""
-    n = len(m.elements)
     out = []
-    for x in range(n):
-        for y in range(n):
-            a = m.mul(x, y)
-            if a is None:
-                continue
-            for z in range(n):
-                b = m.mul(y, z)
-                if b is None:
-                    continue
-                if m.mul(a, z) is not None:
-                    kind = PairClass.B
-                elif a == x and b == z:
-                    kind = PairClass.A1
-                else:
-                    kind = PairClass.A0
-                out.append(EssentialTriple(x, y, z, a, b, kind))
+    for x, y, z, a, b in forks(m):
+        if m.mul(a, z) is not None:
+            kind = PairClass.B
+        elif a == x and b == z:
+            kind = PairClass.A1
+        else:
+            kind = PairClass.A0
+        out.append(EssentialTriple(x, y, z, a, b, kind))
     return out
 
 
@@ -119,20 +110,11 @@ def generic_critical_pairs(m: PartialMonoid) -> list[GenericCriticalPair]:
     erase: tuple[Word, Word] = ((e,), ())
     out = []
     # overlaps: lhs (x, y) at 0 against lhs (y, z) at 1 on the word x y z
-    n = len(m.elements)
-    for x in range(n):
-        for y in range(n):
-            a = m.mul(x, y)
-            if a is None:
-                continue
-            for z in range(n):
-                b = m.mul(y, z)
-                if b is None:
-                    continue
-                r1: tuple[Word, Word] = ((x, y), (a,))
-                r2: tuple[Word, Word] = ((y, z), (b,))
-                out.append(GenericCriticalPair(
-                    "overlap", r1, 0, r2, 1, (x, y, z), ((a, z), (x, b))))
+    for x, y, z, a, b in forks(m):
+        r1: tuple[Word, Word] = ((x, y), (a,))
+        r2: tuple[Word, Word] = ((y, z), (b,))
+        out.append(GenericCriticalPair(
+            "overlap", r1, 0, r2, 1, (x, y, z), ((a, z), (x, b))))
     # inclusions: the erasing rule inside a product left side
     for x, y, z in m.products:
         outer: tuple[Word, Word] = ((x, y), (z,))

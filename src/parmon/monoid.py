@@ -29,7 +29,7 @@ import itertools
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -370,24 +370,31 @@ def total_associativity_witnesses(t: TotalMonoid) -> list[tuple[int, int, int]]:
 
 # ------------------------------------------------------------------ structure probes
 
+def forks(m: PartialMonoid) -> Iterator[tuple[int, int, int, int, int]]:
+    """Every fork (x, y, z, x*y, y*z): x*y and y*z both defined.
+
+    Yields in (x, y, z) index order, because ``products`` is sorted:
+    each defined pair (x, y), then the right partners z of y.
+    """
+    right: list[list[tuple[int, int]]] = [[] for _ in m.elements]
+    for y, z, b in m.products:
+        right[y].append((z, b))
+    for x, y, a in m.products:
+        for z, b in right[y]:
+            yield x, y, z, a, b
+
+
 def is_catenary(m: PartialMonoid) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Does definedness chain through non-identity middles?
 
     Catenary: whenever x*y and y*z are defined with y not the identity,
-    (x*y)*z is defined too.  Returns (True, None) or (False, witness).
+    (x*y)*z is defined too.  Returns (True, None) or (False, witness),
+    the witness being the first such fork in (x, y, z) order.
     Assumes m validates.
     """
-    n = len(m.elements)
-    for x in range(n):
-        for y in range(n):
-            if y == m.identity:
-                continue
-            xy = m.mul(x, y)
-            if xy is None:
-                continue
-            for z in range(n):
-                if m.mul(y, z) is not None and m.mul(xy, z) is None:
-                    return False, (x, y, z)
+    for x, y, z, a, _ in forks(m):
+        if y != m.identity and m.mul(a, z) is None:
+            return False, (x, y, z)
     return True, None
 
 
@@ -570,9 +577,10 @@ def _random_sparse(rng, max_size: int) -> PartialMonoid:
     return _random_null(rng, max_size)
 
 
-_FAMILIES = (_random_null, _random_cyclic, _random_truncated_words,
-             _random_modular, _random_subsets, _random_distinct_letters,
-             _random_sparse)
+# each family with the smallest max_size it fits under
+_FAMILIES = ((_random_null, 1), (_random_cyclic, 1), (_random_truncated_words, 2),
+             (_random_modular, 3), (_random_subsets, 4),
+             (_random_distinct_letters, 2), (_random_sparse, 2))
 
 
 def random_monoid(rng, max_size: int = 8) -> PartialMonoid:
@@ -584,4 +592,5 @@ def random_monoid(rng, max_size: int = 8) -> PartialMonoid:
     """
     if max_size < 1:
         raise ValueError("max_size must be positive")
-    return rng.choice(_FAMILIES)(rng, max_size)
+    family = rng.choice([f for f, smallest in _FAMILIES if smallest <= max_size])
+    return family(rng, max_size)

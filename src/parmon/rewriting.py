@@ -24,22 +24,6 @@ from .monoid import PartialMonoid
 from .words import Word, is_irreducible
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    """The rewriting rules of a partial monoid, in deterministic order.
-
-    product_rules lists ((x, y), x*y) for every defined pair, sorted by
-    (x, y); identity_letter is the left side of the erasing rule.
-    """
-
-    product_rules: tuple[tuple[tuple[int, int], int], ...]
-    identity_letter: int
-
-
-def build_rules(m: PartialMonoid) -> RuleSet:
-    return RuleSet(tuple(((x, y), z) for x, y, z in m.products), m.identity)
-
-
 def one_step_reductions(m: PartialMonoid, w: Word) -> set[tuple[int, Word]]:
     """All single reduction steps as (position, result) pairs."""
     out = set()
@@ -60,11 +44,6 @@ def normal_forms(m: PartialMonoid, w: Word) -> frozenset[Word]:
     if not steps:
         return frozenset((w,))
     return frozenset().union(*(normal_forms(m, r) for _, r in steps))
-
-
-def strip_identities(m: PartialMonoid, w: Word) -> Word:
-    """The unique identity-free word reachable by erasing steps alone."""
-    return tuple(c for c in w if c != m.identity)
 
 
 @dataclass(frozen=True)

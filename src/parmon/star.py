@@ -12,7 +12,7 @@ modulo convertibility.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .confluence import is_confluent
@@ -28,20 +28,6 @@ def star(m: PartialMonoid, u: Word, v: Word) -> Word:
     if not is_irreducible(m, v):
         raise ValueError("right factor is not irreducible")
     return lstd(m, u + v)
-
-
-@dataclass(frozen=True)
-class StarTable:
-    """The star product tabulated over irreducible words up to a bound."""
-
-    bound: int
-    entries: dict[tuple[Word, Word], Word] = field(compare=False)
-
-
-def build_star_table(m: PartialMonoid, bound: int) -> StarTable:
-    irr = enumerate_irreducible(m, bound)
-    return StarTable(bound, {(u, v): star(m, u, v)
-                             for u in irr for v in irr})
 
 
 @dataclass(frozen=True)

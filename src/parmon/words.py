@@ -15,26 +15,10 @@ Word = tuple[int, ...]
 EMPTY: Word = ()
 
 
-def embed(m: PartialMonoid, x: int) -> Word:
-    """The one-letter word for a carrier element."""
-    if not 0 <= x < len(m.elements):
-        raise ValueError(f"unknown element index {x}")
-    return (x,)
-
-
 def is_irreducible(m: PartialMonoid, w: Word) -> bool:
     if m.identity in w:
         return False
     return all(m.mul(w[i], w[i + 1]) is None for i in range(len(w) - 1))
-
-
-def is_prefix(u: Word, v: Word) -> bool:
-    return v[:len(u)] == u
-
-
-def prefixes(w: Word) -> list[Word]:
-    """All prefixes, empty word first, w itself last."""
-    return [w[:i] for i in range(len(w) + 1)]
 
 
 def enumerate_irreducible(m: PartialMonoid, max_len: int,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import parmon as P
@@ -45,6 +47,31 @@ def trivial():
 @pytest.fixture(scope="session")
 def du2():
     return P.gen_disjoint_union_monoid(2)
+
+
+@pytest.fixture(scope="session")
+def sample_tables():
+    """Seeded random_monoid tables, then one mutant of each.
+
+    random_monoid shuffles element order, so the identity is seldom
+    index 0.  Each mutant changes or drops one product away from the
+    identity; most of them break the chain law.
+    """
+    rng = random.Random(7)
+    tables = [P.random_monoid(rng) for _ in range(40)]
+    mutants = []
+    for m in tables:
+        free = [(x, y, z) for x, y, z in m.products if m.identity not in (x, y)]
+        if not free:
+            continue
+        x, y, z = rng.choice(free)
+        products = {(a, b): c for a, b, c in m.products}
+        if rng.random() < 0.5:
+            del products[(x, y)]
+        else:
+            products[(x, y)] = (z + 1) % m.size
+        mutants.append(P.PartialMonoid(m.elements, m.identity, products))
+    return tables + mutants
 
 
 def wrd(m, text):

@@ -83,6 +83,22 @@ def brute_classify(m):
     return out
 
 
+def brute_catenary(m):
+    """First (x, y, z) in index order breaking catenarity, or None.
+
+    A witness has y not the identity, x*y and y*z defined, and (x*y)*z
+    undefined.
+    """
+    t = table_of(m)
+    n = len(m.elements)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if y == m.identity or (x, y) not in t or (y, z) not in t:
+            continue
+        if (t[(x, y)], z) not in t:
+            return (x, y, z)
+    return None
+
+
 def brute_reachable(m, w):
     """Every word reachable from w by reductions, w included."""
     seen = {w}

@@ -345,6 +345,21 @@ def test_usage_errors():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["assoc-test", EX2, "--max-len", "-3"], "--max-len: must be at least 0"),
+    (["random-check", "--count", "-2"], "--count: must be at least 0"),
+    (["random-check", "--max-carrier", "0"], "--max-carrier: must be at least 1"),
+], ids=["max-len", "count", "max-carrier"])
+def test_out_of_range_arguments(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def _entry_point_command():
     """The ``parmon`` command and environment to run it in a child process.
 

@@ -19,8 +19,12 @@ def classes(triples):
 
 # ------------------------------------------------------------------ essential
 
-def test_essential_pairs_match_brute(ex2, letters3, group2, trivial, du2):
-    for m in (ex2, letters3, group2, trivial, du2):
+def test_essential_pairs_match_brute(ex2, letters3, group2, trivial, du2,
+                                    sample_tables):
+    # the samples reach shuffled element orders and invalid tables
+    assert any(m.identity != 0 for m in sample_tables)
+    assert any(not P.validate(m).valid for m in sample_tables)
+    for m in (ex2, letters3, group2, trivial, du2, *sample_tables):
         got = [(t.x, t.y, t.z, t.a, t.b, t.kind.value)
                for t in P.essential_critical_pairs(m)]
         assert got == brute_classify(m)
@@ -205,13 +209,14 @@ def test_apply_rule_checks_match():
     assert P.apply_rule(((1, 2), (3,)), (1, 1, 2), 1) == (1, 3)
 
 
-def test_overlaps_mirror_essential_triples(ex2, letters3):
-    for m in (ex2, letters3):
-        overlaps = {(cp.source, cp.pair)
+def test_overlaps_mirror_essential_triples(ex2, letters3, sample_tables):
+    # same forks in the same (x, y, z) order
+    for m in (ex2, letters3, *sample_tables):
+        overlaps = [(cp.source, cp.pair)
                     for cp in P.generic_critical_pairs(m)
-                    if cp.kind == "overlap"}
-        essential = {((t.x, t.y, t.z), t.pair)
-                     for t in P.essential_critical_pairs(m)}
+                    if cp.kind == "overlap"]
+        essential = [((t.x, t.y, t.z), t.pair)
+                     for t in P.essential_critical_pairs(m)]
         assert overlaps == essential
 
 

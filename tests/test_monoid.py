@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import parmon as P
 from conftest import EX2_TEXT
-from oracles import brute_chain_violations, table_of
+from oracles import brute_catenary, brute_chain_violations, table_of
 
 
 # ------------------------------------------------------------------ construction
@@ -264,6 +264,13 @@ def test_catenary_fixtures(ex2, letters3, group2, trivial):
     assert P.is_catenary(trivial) == (True, None)
 
 
+def test_catenary_matches_brute(ex2, letters3, group2, trivial, du2,
+                                sample_tables):
+    for m in (ex2, letters3, group2, trivial, du2, *sample_tables):
+        witness = brute_catenary(m)
+        assert P.is_catenary(m) == (witness is None, witness)
+
+
 def test_total_monoids_are_catenary():
     rng = random.Random(11)
     n = 5
@@ -407,6 +414,16 @@ def test_random_monoid_hits_nontrivial_tables():
 def test_random_monoid_rejects_bad_max_size():
     with pytest.raises(ValueError, match="positive"):
         P.random_monoid(random.Random(0), max_size=0)
+
+
+def test_random_monoid_small_max_size():
+    # families that cannot fit are skipped; none overshoots the bound
+    for max_size in (1, 2, 3):
+        rng = random.Random(max_size)
+        for _ in range(100):
+            m = P.random_monoid(rng, max_size)
+            assert m.size <= max_size
+            assert P.validate(m).valid
 
 
 def test_table_of_matches_products(ex2):

@@ -37,19 +37,6 @@ def is_conversion_path(m, path, u, v):
     return True
 
 
-# ------------------------------------------------------------------ rules
-
-def test_build_rules_counts(ex2, letters3):
-    rs = P.build_rules(ex2)
-    assert rs.identity_letter == ex2.identity
-    assert len(rs.product_rules) == 10  # 3 table lines + 7 forced identity rows
-    assert rs.product_rules == tuple(((x, y), z) for x, y, z in ex2.products)
-    rs3 = P.build_rules(letters3)
-    assert len(rs3.product_rules) == 49
-    non_id = [r for r in rs3.product_rules if rs3.identity_letter not in r[0]]
-    assert len(non_id) == 18
-
-
 # ------------------------------------------------------------------ one-step
 
 def test_one_step_examples(ex2, letters3):
@@ -110,13 +97,6 @@ def test_normal_forms_are_irreducible_and_reachable(ex2, letters3):
 def test_confluent_fixture_has_singleton_normal_forms(ex2):
     for w in all_words(ex2, 5):
         assert len(P.normal_forms(ex2, w)) == 1
-
-
-def test_strip_identities(ex2):
-    e, x = ex2.identity, ex2.index("x")
-    assert P.strip_identities(ex2, (e, x, e, x, e)) == (x, x)
-    assert P.strip_identities(ex2, (e, e)) == ()
-    assert P.strip_identities(ex2, (x,)) == (x,)
 
 
 # ------------------------------------------------------------------ decomposition

@@ -51,15 +51,6 @@ def test_star_annihilation(group2):
     assert P.star(group2, g, g) == P.EMPTY
 
 
-def test_build_star_table(ex2):
-    table = P.build_star_table(ex2, 2)
-    irr = P.enumerate_irreducible(ex2, 2)
-    assert table.bound == 2
-    assert set(table.entries) == set(itertools.product(irr, repeat=2))
-    for (u, v), w in table.entries.items():
-        assert w == P.star(ex2, u, v)
-
-
 # ------------------------------------------------------------------ associativity
 
 def test_ex2_associative_up_to_3(ex2):

@@ -8,12 +8,6 @@ from conftest import wrd, fmt
 from oracles import brute_irreducible
 
 
-def test_embed(ex2):
-    assert P.embed(ex2, 2) == (2,)
-    with pytest.raises(ValueError, match="unknown element index"):
-        P.embed(ex2, 4)
-
-
 def test_is_irreducible_examples(ex2):
     assert P.is_irreducible(ex2, P.EMPTY)
     assert P.is_irreducible(ex2, wrd(ex2, "x"))
@@ -21,14 +15,6 @@ def test_is_irreducible_examples(ex2):
     assert not P.is_irreducible(ex2, wrd(ex2, "y z"))      # product defined
     assert not P.is_irreducible(ex2, wrd(ex2, "x 1"))      # identity letter
     assert not P.is_irreducible(ex2, wrd(ex2, "z y z x"))  # inner y z
-
-
-def test_prefix_helpers():
-    assert P.is_prefix((), (1, 2))
-    assert P.is_prefix((1,), (1, 2))
-    assert not P.is_prefix((2,), (1, 2))
-    assert P.prefixes((1, 2)) == [(), (1,), (1, 2)]
-    assert P.prefixes(()) == [()]
 
 
 def test_enumerate_irreducible_ex2_frozen_list(ex2):
@@ -53,8 +39,8 @@ def test_enumerate_prefix_closure(ex2, letters3):
     for m in (ex2, letters3):
         pool = set(P.enumerate_irreducible(m, 3))
         for w in pool:
-            for p in P.prefixes(w):
-                assert p in pool
+            for i in range(len(w) + 1):
+                assert w[:i] in pool
 
 
 @settings(max_examples=50, deadline=None)
