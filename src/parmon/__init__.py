@@ -2,13 +2,13 @@
 
 from .confluence import (ConfluenceVerdict, EssentialTriple,
                          GenericCriticalPair, PairClass, apply_rule,
-                         converges, essential_critical_pairs,
-                         generic_critical_pairs, is_confluent, newman_check)
+                         essential_critical_pairs, generic_critical_pairs,
+                         is_confluent, newman_check)
 from .magma import (Leaf, Node, Tree, evaluate, format_tree, leaf_labels,
                     leaves, parse_tree, rank, right_comb, rotation_closure,
                     rotations, verify_rotation_invariance)
 from .monoid import (InvertibilityFlags, ParseError, PartialMonoid,
-                     TotalMonoid, ValidationReport, Violation, carrier_cap,
+                     TotalMonoid, ValidationReport, Violation,
                      gen_disjoint_union_monoid, gen_no_common_letters_monoid,
                      invertibility_report, is_catenary, parse_monoid,
                      random_monoid, serialize_monoid,

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 for success or an affirmative verdict, 1 for invalid
-input, 2 for usage errors, 3 for a negative verdict.
+input (any ValueError a command raises counts as such), 2 for usage
+errors, 3 for a negative verdict.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ EXIT_NEGATIVE = 3
 
 
 class InputError(Exception):
-    """Bad file or word arguments; reported on stderr, exit 1."""
+    """A monoid file that cannot be read, parsed or validated; exit 1."""
 
 
 def _load(path: str) -> PartialMonoid:
@@ -50,13 +51,6 @@ def _load_valid(path: str) -> PartialMonoid:
         raise InputError(f"{path}: not a valid partial monoid; "
                          f"first violation {first.message}")
     return m
-
-
-def _word(m: PartialMonoid, text: str) -> Word:
-    try:
-        return parse_word(m, text)
-    except ValueError as exc:
-        raise InputError(str(exc))
 
 
 def _names(m: PartialMonoid, w: Word) -> list[str]:
@@ -117,7 +111,7 @@ def cmd_confluence(args) -> int:
 
 def cmd_normalize(args) -> int:
     m = _load_valid(args.file)
-    w = _word(m, " ".join(args.word))
+    w = parse_word(m, " ".join(args.word))
     if args.all:
         forms = sorted(normal_forms(m, w), key=lambda f: (len(f), f))
         if args.json:
@@ -175,12 +169,9 @@ def cmd_critical_pairs(args) -> int:
 
 def cmd_star(args) -> int:
     m = _load_valid(args.file)
-    u = _word(m, args.u)
-    v = _word(m, args.v)
-    try:
-        product = star(m, u, v)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    u = parse_word(m, args.u)
+    v = parse_word(m, args.v)
+    product = star(m, u, v)
     if args.json:
         print(json.dumps({"u": _names(m, u), "v": _names(m, v),
                           "product": _names(m, product)}))
@@ -219,7 +210,7 @@ def cmd_assoc_test(args) -> int:
 
 def cmd_simulate(args) -> int:
     m = _load_valid(args.file)
-    w = _word(m, " ".join(args.word))
+    w = parse_word(m, " ".join(args.word))
     result = lstd(m, w)
     segments = _names(m, result)
     errors = max(0, len(segments) - 1)
@@ -233,16 +224,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_magma_demo(args) -> int:
     m = _load_valid(args.file)
-    try:
-        t = magma.parse_tree(m, " ".join(args.tree))
-    except ValueError as exc:
-        raise InputError(str(exc))
+    t = magma.parse_tree(m, " ".join(args.tree))
     comb = magma.right_comb(t)
-    try:
-        evaluation = magma.evaluate(m, t)
-        comb_eval = magma.evaluate(m, comb)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    evaluation = magma.evaluate(m, t)
+    comb_eval = magma.evaluate(m, comb)
     cap = sum(len(label) for label in magma.leaf_labels(t))
     convertible = convertible_bounded(m, evaluation, comb_eval, cap) is not None
     successors = sorted(magma.format_tree(m, s) for s in magma.rotations(t))
@@ -386,7 +371,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

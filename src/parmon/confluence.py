@@ -53,7 +53,7 @@ def essential_critical_pairs(m: PartialMonoid) -> list[EssentialTriple]:
     """Classify every fork, in (x, y, z) index order.  Assumes m validates."""
     out = []
     for x, y, z, a, b in forks(m):
-        if m.mul(a, z) is not None:
+        if m.rows[a][z] is not None:
             kind = PairClass.B
         elif a == x and b == z:
             kind = PairClass.A1
@@ -127,11 +127,12 @@ def generic_critical_pairs(m: PartialMonoid) -> list[GenericCriticalPair]:
     return out
 
 
-def converges(m: PartialMonoid, u: Word, v: Word) -> bool:
-    """Common reduct test; with termination this is shared normal forms."""
-    return bool(normal_forms(m, u) & normal_forms(m, v))
-
-
 def newman_check(m: PartialMonoid) -> bool:
-    """Confluence via local confluence: every critical pair converges."""
-    return all(converges(m, *cp.pair) for cp in generic_critical_pairs(m))
+    """Confluence via local confluence: every critical pair converges.
+
+    A pair converges when its sides share a normal form; each distinct
+    word's normal forms are computed once.
+    """
+    pairs = [cp.pair for cp in generic_critical_pairs(m)]
+    forms = {w: normal_forms(m, w) for w in {w for pair in pairs for w in pair}}
+    return all(forms[u] & forms[v] for u, v in pairs)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .monoid import EMPTY_WORD_TOKEN, PartialMonoid
-from .rewriting import convertible_bounded
-from .star import star
+from .rewriting import convertible_bounded, lstd
 from .words import Word, is_irreducible
 
 
@@ -96,12 +95,15 @@ def right_comb(t: Tree) -> Tree:
 
 
 def evaluate(m: PartialMonoid, t: Tree) -> Word:
-    """Multiply the leaf labels with star, following the bracketing."""
+    """Multiply the leaf labels with star, following the bracketing.
+
+    Both halves are irreducible, so star is lstd without its checks.
+    """
     if isinstance(t, Leaf):
         if not is_irreducible(m, t.label):
             raise ValueError(f"leaf label {t.label} is not irreducible")
         return t.label
-    return star(m, evaluate(m, t.left), evaluate(m, t.right))
+    return lstd(m, evaluate(m, t.left) + evaluate(m, t.right))
 
 
 def verify_rotation_invariance(m: PartialMonoid, t: Tree) -> bool:

@@ -26,7 +26,6 @@ cannot name an element.
 from __future__ import annotations
 
 import itertools
-import os
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
@@ -35,19 +34,7 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 EMPTY_WORD_TOKEN = "eps"
 
-DEFAULT_CARRIER_CAP = 256
-CARRIER_CAP_ENV = "PARMON_MAX_CARRIER"
-
-
-def carrier_cap() -> int:
-    """Largest carrier the generators will build, env-overridable."""
-    raw = os.environ.get(CARRIER_CAP_ENV)
-    if raw is None:
-        return DEFAULT_CARRIER_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{CARRIER_CAP_ENV} must be an integer, got {raw!r}")
+CARRIER_CAP = 256  # largest carrier the generators will build
 
 
 class ParseError(ValueError):
@@ -63,13 +50,15 @@ class ParseError(ValueError):
 class PartialMonoid:
     """Immutable finite partial monoid over interned element indices.
 
-    ``products`` is the canonical sorted tuple of (x, y, x*y) triples,
-    identity rows included.  Construction checks structural invariants
-    only; the chain law is the job of :func:`validate`.
+    ``rows`` is the compiled table: ``rows[x][y]`` is x*y, or None where
+    the product is undefined.  ``products`` is the canonical sorted tuple
+    of (x, y, x*y) triples read off it, identity rows included.
+    Construction checks structural invariants only; the chain law is the
+    job of :func:`validate`.
     """
 
-    __slots__ = ("elements", "identity", "products",
-                 "_table", "_index", "_facts", "_hash")
+    __slots__ = ("elements", "identity", "products", "rows",
+                 "_index", "_facts", "_hash")
 
     def __init__(self, elements: Iterable[str], identity: int,
                  products: Mapping[tuple[int, int], int]):
@@ -89,29 +78,26 @@ class PartialMonoid:
         if not 0 <= identity < n:
             raise ValueError(f"identity index {identity} out of range")
 
-        table: dict[tuple[int, int], int] = {}
+        rows: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
         for (x, y), z in products.items():
             for e in (x, y, z):
                 if not 0 <= e < n:
                     raise ValueError(f"product entry index {e} out of range")
-            if table.get((x, y), z) != z:
-                raise ValueError(
-                    f"conflicting products for {elements[x]} {elements[y]}")
-            table[(x, y)] = z
+            rows[x][y] = z
         # identity rows are forced, fill them in and reject contradictions
         for x in range(n):
-            for key in ((x, identity), (identity, x)):
-                if table.get(key, x) != x:
-                    a, b = key
+            for a, b in ((x, identity), (identity, x)):
+                if rows[a][b] not in (None, x):
                     raise ValueError(
                         f"product {elements[a]} {elements[b]} = "
-                        f"{elements[table[key]]} contradicts the identity law")
-                table[key] = x
+                        f"{elements[rows[a][b]]} contradicts the identity law")
+                rows[a][b] = x
 
         self.elements = elements
         self.identity = identity
-        self.products = tuple(sorted((x, y, z) for (x, y), z in table.items()))
-        self._table = table
+        self.rows = tuple(tuple(row) for row in rows)
+        self.products = tuple((x, y, z) for x, row in enumerate(rows)
+                              for y, z in enumerate(row) if z is not None)
         self._index = {name: i for i, name in enumerate(elements)}
         facts: dict[int, list[tuple[int, int]]] = {}
         for x, y, z in self.products:
@@ -127,10 +113,10 @@ class PartialMonoid:
 
     def mul(self, x: int, y: int) -> Optional[int]:
         """x*y if defined, else None."""
-        n = len(self.elements)
+        n = len(self.rows)
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"unknown element index in product ({x}, {y})")
-        return self._table.get((x, y))
+        return self.rows[x][y]
 
     def defined(self, x: int, y: int) -> bool:
         return self.mul(x, y) is not None
@@ -282,16 +268,17 @@ def validate(m: PartialMonoid) -> ValidationReport:
     routes must flag exactly the same triples.
     """
     viols = []
-    n = len(m.elements)
+    rows = m.rows
+    n = len(rows)
     for x in range(n):
         nx = m.elements[x]
         for y in range(n):
-            xy = m.mul(x, y)
+            xy = rows[x][y]
             ny = m.elements[y]
             for z in range(n):
-                yz = m.mul(y, z)
-                left = None if xy is None else m.mul(xy, z)
-                right = None if yz is None else m.mul(x, yz)
+                yz = rows[y][z]
+                left = None if xy is None else rows[xy][z]
+                right = None if yz is None else rows[x][yz]
                 nz = m.elements[z]
                 if (left is None) and (right is None):
                     continue
@@ -374,11 +361,9 @@ def forks(m: PartialMonoid) -> Iterator[tuple[int, int, int, int, int]]:
     """Every fork (x, y, z, x*y, y*z): x*y and y*z both defined.
 
     Yields in (x, y, z) index order, because ``products`` is sorted:
-    each defined pair (x, y), then the right partners z of y.
+    each defined pair (x, y), then the right partners z of y in ``rows``.
     """
-    right: list[list[tuple[int, int]]] = [[] for _ in m.elements]
-    for y, z, b in m.products:
-        right[y].append((z, b))
+    right = [[(z, b) for z, b in enumerate(row) if b is not None] for row in m.rows]
     for x, y, a in m.products:
         for z, b in right[y]:
             yield x, y, z, a, b
@@ -393,7 +378,7 @@ def is_catenary(m: PartialMonoid) -> tuple[bool, Optional[tuple[int, int, int]]]
     Assumes m validates.
     """
     for x, y, z, a, _ in forks(m):
-        if y != m.identity and m.mul(a, z) is None:
+        if y != m.identity and m.rows[a][z] is None:
             return False, (x, y, z)
     return True, None
 
@@ -419,11 +404,11 @@ def invertibility_report(m: PartialMonoid) -> tuple[InvertibilityFlags, ...]:
             right[x] = True
             left[y] = True
     for x in range(n):
-        if right[x] and any(m.mul(y, x) is None for y in range(n)):
+        if right[x] and any(row[x] is None for row in m.rows):
             raise RuntimeError(
                 f"right invertible {m.elements[x]} misses a left composition; "
                 "the monoid cannot be valid")
-        if left[x] and any(m.mul(x, y) is None for y in range(n)):
+        if left[x] and None in m.rows[x]:
             raise RuntimeError(
                 f"left invertible {m.elements[x]} misses a right composition; "
                 "the monoid cannot be valid")
@@ -433,10 +418,8 @@ def invertibility_report(m: PartialMonoid) -> tuple[InvertibilityFlags, ...]:
 # ------------------------------------------------------------------ generators
 
 def _check_cap(size: int) -> None:
-    cap = carrier_cap()
-    if size > cap:
-        raise ValueError(f"carrier size {size} exceeds cap {cap} "
-                         f"(override with {CARRIER_CAP_ENV})")
+    if size > CARRIER_CAP:
+        raise ValueError(f"carrier size {size} exceeds cap {CARRIER_CAP}")
 
 
 def gen_disjoint_union_monoid(n: int, cap: int = 4) -> PartialMonoid:
@@ -592,5 +575,6 @@ def random_monoid(rng, max_size: int = 8) -> PartialMonoid:
     """
     if max_size < 1:
         raise ValueError("max_size must be positive")
+    _check_cap(max_size)
     family = rng.choice([f for f, smallest in _FAMILIES if smallest <= max_size])
     return family(rng, max_size)

@@ -3,7 +3,8 @@
 Two rule shapes: a two-letter factor whose product is defined contracts
 to the product letter, and an identity letter erases.  Every step
 shortens the word by one, so reduction terminates and the reachable-word
-graph is a finite DAG; normal form sets come from a memoized traversal.
+graph is a finite DAG, layered by word length; normal form sets come from
+one sweep down those layers.
 
 The left standard strategy is the deterministic schedule: erase identity
 letters first (leftmost first), then repeatedly contract the leftmost
@@ -17,33 +18,48 @@ plain reduction steps, so lstd(w) is always one of w's normal forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 from .monoid import PartialMonoid
-from .words import Word, is_irreducible
+from .words import Word, check_word, is_irreducible
+
+
+def _steps(m: PartialMonoid, w: Word) -> Iterator[tuple[int, Word]]:
+    """Single reduction steps of a checked word, as (position, result)."""
+    identity, rows = m.identity, m.rows
+    for i, c in enumerate(w):
+        if c == identity:
+            yield i, w[:i] + w[i + 1:]
+    for i in range(len(w) - 1):
+        z = rows[w[i]][w[i + 1]]
+        if z is not None:
+            yield i, w[:i] + (z,) + w[i + 2:]
 
 
 def one_step_reductions(m: PartialMonoid, w: Word) -> set[tuple[int, Word]]:
     """All single reduction steps as (position, result) pairs."""
-    out = set()
-    for i, c in enumerate(w):
-        if c == m.identity:
-            out.add((i, w[:i] + w[i + 1:]))
-    for i in range(len(w) - 1):
-        z = m.mul(w[i], w[i + 1])
-        if z is not None:
-            out.add((i, w[:i] + (z,) + w[i + 2:]))
-    return out
+    check_word(m, w)
+    return set(_steps(m, w))
 
 
-@lru_cache(maxsize=None)
 def normal_forms(m: PartialMonoid, w: Word) -> frozenset[Word]:
-    """Every irreducible word reachable from w, by exhaustive traversal."""
-    steps = one_step_reductions(m, w)
-    if not steps:
-        return frozenset((w,))
-    return frozenset().union(*(normal_forms(m, r) for _, r in steps))
+    """Every irreducible word reachable from w.
+
+    Swept one length layer at a time, so each word is expanded once.
+    """
+    check_word(m, w)
+    forms = set()
+    layer = {w}
+    while layer:
+        nxt: set[Word] = set()
+        for u in layer:
+            succ = [r for _, r in _steps(m, u)]
+            if succ:
+                nxt.update(succ)
+            else:
+                forms.add(u)
+        layer = nxt
+    return frozenset(forms)
 
 
 @dataclass(frozen=True)
@@ -65,21 +81,23 @@ class LstdDecomposition:
 
 
 def left_standard_decomposition(m: PartialMonoid, w: Word) -> LstdDecomposition:
+    check_word(m, w)
     if m.identity in w:
         raise ValueError("word contains the identity letter")
     for i in range(len(w) - 1):
-        if m.mul(w[i], w[i + 1]) is not None:
+        if m.rows[w[i]][w[i + 1]] is not None:
             return LstdDecomposition(w[:i], w[i], w[i + 1], w[i + 2:])
     raise ValueError("word is irreducible, nothing to decompose")
 
 
 def left_standard_step(m: PartialMonoid, w: Word) -> Word:
     """One move of the deterministic left standard schedule."""
+    check_word(m, w)
     for i, c in enumerate(w):
         if c == m.identity:
             return w[:i] + w[i + 1:]
     d = left_standard_decomposition(m, w)
-    z = m.mul(d.x, d.y)
+    z = m.rows[d.x][d.y]
     if z == m.identity:
         return d.u + d.v  # annihilating pair; the chain law gives u = ()
     return d.u + (z,) + d.v
@@ -92,6 +110,7 @@ def left_standard_successors(m: PartialMonoid, w: Word) -> set[Word]:
     identity-free reducible words: the single leftmost contraction.
     The deterministic schedule always picks one of these.
     """
+    check_word(m, w)
     if m.identity in w:
         return {w[:i] + w[i + 1:] for i, c in enumerate(w) if c == m.identity}
     if is_irreducible(m, w):
@@ -99,7 +118,6 @@ def left_standard_successors(m: PartialMonoid, w: Word) -> set[Word]:
     return {left_standard_step(m, w)}
 
 
-@lru_cache(maxsize=None)
 def lstd(m: PartialMonoid, w: Word) -> Word:
     """The left standard normal form.
 
@@ -108,24 +126,16 @@ def lstd(m: PartialMonoid, w: Word) -> Word:
     are defined, and a merge to the identity drops both letters.  This
     is exactly iterated left_standard_step, without the rescans.
     """
-    identity = m.identity
-    mul = m.mul
+    check_word(m, w)
+    identity, rows = m.identity, m.rows
     stack: list[int] = []
-    for c in w:
-        if c == identity:
-            continue
-        cur = c
-        while True:
-            if not stack:
-                stack.append(cur)
-                break
-            z = mul(stack[-1], cur)
+    for cur in w:
+        while cur != identity:
+            z = rows[stack[-1]][cur] if stack else None
             if z is None:
                 stack.append(cur)
                 break
             stack.pop()
-            if z == identity:
-                break
             cur = z
     return tuple(stack)
 
@@ -152,6 +162,7 @@ class ReductionTrace:
 
 def lstd_trace(m: PartialMonoid, w: Word) -> ReductionTrace:
     """lstd with bookkeeping: identity erasures first, then contractions."""
+    check_word(m, w)
     steps = []
     cur = w
     while True:
@@ -164,7 +175,7 @@ def lstd_trace(m: PartialMonoid, w: Word) -> ReductionTrace:
             except ValueError:
                 break
             pos = len(d.u)
-            z = m.mul(d.x, d.y)
+            z = m.rows[d.x][d.y]
             rhs = "eps" if z == m.identity else m.name(z)
             rule = f"{m.name(d.x)} {m.name(d.y)} -> {rhs}"
         nxt = left_standard_step(m, cur)
@@ -183,6 +194,7 @@ def expansions(m: PartialMonoid, w: Word, max_len: int) -> list[Word]:
     Reverse erasure inserts the identity letter anywhere; reverse
     contraction replaces a letter by any defined pair producing it.
     """
+    check_word(m, w)
     if len(w) >= max_len:
         return []
     out = []
@@ -195,7 +207,7 @@ def expansions(m: PartialMonoid, w: Word, max_len: int) -> list[Word]:
 
 
 def _neighbors(m: PartialMonoid, w: Word, max_len: int) -> list[Word]:
-    down = sorted(one_step_reductions(m, w))
+    down = sorted(set(_steps(m, w)))
     return [r for _, r in down] + expansions(m, w, max_len)
 
 
@@ -209,6 +221,8 @@ def convertible_bounded(m: PartialMonoid, u: Word, v: Word,
     conversion exists within the bound.  None means not found, not
     refuted: a longer detour could still connect the two words.
     """
+    check_word(m, u)
+    check_word(m, v)
     if max_len is None:
         max_len = len(u) + len(v)
     if u == v:

@@ -59,13 +59,16 @@ def associativity_search(m: PartialMonoid, max_len: int,
     Triples run in enumeration order (shortest first, then lex), so the
     first counterexample is deterministic.  With find_all every failing
     triple is collected instead of stopping at the first.
+
+    Every word here is irreducible, so star is lstd without its checks;
+    lstd(lstd(s) + t) = lstd(s + t) makes (u*v)*w just lstd(u + v + w).
     """
     irr = enumerate_irreducible(m, max_len)
     found = []
     congruence: dict[tuple[Word, Word, Word], bool] = {}
     for u, v, w in itertools.product(irr, repeat=3):
-        left = star(m, star(m, u, v), w)
-        right = star(m, u, star(m, v, w))
+        left = lstd(m, u + v + w)
+        right = lstd(m, u + lstd(m, v + w))
         if check_congruence:
             path = convertible_bounded(m, left, right,
                                        len(u) + len(v) + len(w))

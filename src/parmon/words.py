@@ -15,10 +15,18 @@ Word = tuple[int, ...]
 EMPTY: Word = ()
 
 
+def check_word(m: PartialMonoid, w: Word) -> None:
+    """Raise ValueError unless every letter of w indexes an element of m."""
+    if w and (min(w) < 0 or max(w) >= len(m.rows)):
+        raise ValueError(f"unknown element index in word {w}")
+
+
 def is_irreducible(m: PartialMonoid, w: Word) -> bool:
+    check_word(m, w)
     if m.identity in w:
         return False
-    return all(m.mul(w[i], w[i + 1]) is None for i in range(len(w) - 1))
+    rows = m.rows
+    return all(rows[x][y] is None for x, y in zip(w, w[1:]))
 
 
 def enumerate_irreducible(m: PartialMonoid, max_len: int,
@@ -27,22 +35,21 @@ def enumerate_irreducible(m: PartialMonoid, max_len: int,
 
     Grows layer by layer: a word of length k+1 is irreducible exactly
     when its length-k prefix is and the appended letter neither is the
-    identity nor composes with the last letter.
+    identity nor composes with the last letter.  The cap is checked as a
+    layer grows, so an overflowing layer is never built in full.
     """
     out: list[Word] = [EMPTY]
     layer: list[Word] = [EMPTY]
     letters = m.non_identity()
+    # follow[x]: the letters that may come right after x
+    follow = [tuple(c for c in letters if row[c] is None) for row in m.rows]
     for _ in range(max_len):
         nxt: list[Word] = []
         for w in layer:
-            last = w[-1] if w else None
-            for c in letters:
-                if last is not None and m.mul(last, c) is not None:
-                    continue
-                nxt.append(w + (c,))
-        if len(out) + len(nxt) > max_words:
-            raise ValueError(f"more than {max_words} irreducible words; "
-                             "raise max_words or lower max_len")
+            nxt.extend(w + (c,) for c in (follow[w[-1]] if w else letters))
+            if len(out) + len(nxt) > max_words:
+                raise ValueError(f"more than {max_words} irreducible words; "
+                                 "raise max_words or lower max_len")
         out.extend(nxt)
         if not nxt:
             break

@@ -2,10 +2,15 @@
 
 Everything here works straight off the product table with dumb loops and
 no shared code paths with the package internals, so a bug would have to
-appear twice, in two different shapes, to slip through.
+appear twice, in two different shapes, to slip through.  The one
+exception, brute_assoc_counterexamples, folds with the public star
+product, the definition that associativity_search's shortcuts must match.
 """
 
+import functools
 import itertools
+
+from parmon import star
 
 
 def table_of(m):
@@ -61,6 +66,24 @@ def brute_normal_forms(m, w):
     out = set()
     for r in succ:
         out |= brute_normal_forms(m, r)
+    return out
+
+
+def brute_assoc_counterexamples(m, max_len):
+    """Every irreducible triple up to max_len whose bracketings differ.
+
+    Both bracketings are folded with the checked star product, each
+    product of two words computed once; triples in brute_irreducible
+    order, entries (u, v, w, (u*v)*w, u*(v*w)).
+    """
+    mul = functools.lru_cache(maxsize=None)(lambda a, b: star(m, a, b))
+    irr = brute_irreducible(m, max_len)
+    out = []
+    for u, v, w in itertools.product(irr, repeat=3):
+        left = mul(mul(u, v), w)
+        right = mul(u, mul(v, w))
+        if left != right:
+            out.append((u, v, w, left, right))
     return out
 
 

@@ -259,6 +259,15 @@ def test_assoc_letters3_all_json(capsys):
 
 # ------------------------------------------------------------------ simulate
 
+def test_assoc_too_many_words_is_an_error_line(capsys):
+    # the enumeration's ValueError becomes an error: line, not a traceback
+    code, out, err = run(capsys, "assoc-test", LETTERS3, "--max-len", "9")
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert err == ("error: more than 1000000 irreducible words; "
+                   "raise max_words or lower max_len\n")
+
+
 def test_simulate(capsys):
     code, out, _ = run(capsys, "simulate", LETTERS3, "a", "b", "a")
     assert code == 0
@@ -329,6 +338,13 @@ def test_random_check_json(capsys):
     assert data["count"] == 8
     assert data["seed"] == 1
     assert data["failures"] == []
+
+
+def test_random_check_carrier_over_cap(capsys):
+    code, out, err = run(capsys, "random-check", "--max-carrier", "300")
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert err == "error: carrier size 300 exceeds cap 256\n"
 
 
 # ------------------------------------------------------------------ usage

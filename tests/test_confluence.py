@@ -221,10 +221,11 @@ def test_overlaps_mirror_essential_triples(ex2, letters3, sample_tables):
 
 
 def test_converges(letters3, ex2):
+    # a pair converges exactly when its two sides share a normal form
     a, b, ab, ba = (letters3.index(n) for n in ("a", "b", "ab", "ba"))
-    assert not P.converges(letters3, (ab, a), (a, ba))
+    assert not P.normal_forms(letters3, (ab, a)) & P.normal_forms(letters3, (a, ba))
     x, y = ex2.index("x"), ex2.index("y")
-    assert P.converges(ex2, (x, y), (x,))
+    assert P.normal_forms(ex2, (x, y)) & P.normal_forms(ex2, (x,))
 
 
 def test_newman_agrees_with_essential(ex2, letters3, group2, trivial, du2):

@@ -363,14 +363,11 @@ def test_no_common_letters_monoid_edges():
 
 
 def test_carrier_cap_env_override(monkeypatch):
-    assert P.carrier_cap() == 256
-    monkeypatch.setenv("PARMON_MAX_CARRIER", "10")
-    assert P.carrier_cap() == 10
-    with pytest.raises(ValueError, match="exceeds cap"):
-        P.gen_no_common_letters_monoid("abc")  # needs 16 > 10
-    monkeypatch.setenv("PARMON_MAX_CARRIER", "not-a-number")
-    with pytest.raises(ValueError, match="must be an integer"):
-        P.carrier_cap()
+    # the cap is a constant 256 that no environment variable moves
+    monkeypatch.setenv("PARMON_MAX_CARRIER", "1000")
+    with pytest.raises(ValueError, match="carrier size 512 exceeds cap 256"):
+        P.gen_disjoint_union_monoid(9, cap=9)
+    assert P.gen_disjoint_union_monoid(8, cap=8).size == 256
 
 
 # ------------------------------------------------------------------ random monoids
@@ -414,6 +411,15 @@ def test_random_monoid_hits_nontrivial_tables():
 def test_random_monoid_rejects_bad_max_size():
     with pytest.raises(ValueError, match="positive"):
         P.random_monoid(random.Random(0), max_size=0)
+
+
+def test_random_monoid_honours_carrier_cap():
+    # the cyclic family alone could otherwise draw up to max_size elements
+    for seed in range(20):
+        with pytest.raises(ValueError, match="carrier size 400 exceeds cap 256"):
+            P.random_monoid(random.Random(seed), 400)
+    rng = random.Random(0)
+    assert all(P.random_monoid(rng, 256).size <= 256 for _ in range(20))
 
 
 def test_random_monoid_small_max_size():

@@ -99,6 +99,42 @@ def test_confluent_fixture_has_singleton_normal_forms(ex2):
         assert len(P.normal_forms(ex2, w)) == 1
 
 
+def test_normal_forms_of_a_long_word(ex2):
+    # one layer per letter removed, no recursion: 600 letters is fine
+    y = ex2.index("y")
+    assert P.normal_forms(ex2, (y,) * 600) == {(y,)}
+
+
+# ------------------------------------------------------------------ bad letters
+
+WORD_FUNCTIONS = {
+    "lstd": P.lstd,
+    "is_irreducible": P.is_irreducible,
+    "one_step_reductions": P.one_step_reductions,
+    "normal_forms": P.normal_forms,
+    "left_standard_decomposition": P.left_standard_decomposition,
+    "left_standard_step": P.left_standard_step,
+    "left_standard_successors": P.left_standard_successors,
+    "lstd_trace": P.lstd_trace,
+    "expansions": lambda m, w: P.expansions(m, w, len(w) + 1),
+    "convertible_bounded": lambda m, w: P.convertible_bounded(m, w, w),
+    "star left": lambda m, w: P.star(m, w, ()),
+    "star right": lambda m, w: P.star(m, (), w),
+    "evaluate": lambda m, w: P.evaluate(m, P.Leaf(w)),
+    "format_word": P.format_word,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_FUNCTIONS))
+def test_out_of_range_letters_raise(ex2, name):
+    # a negative letter must not wrap onto the last row of the table
+    fn = WORD_FUNCTIONS[name]
+    n, x, e = ex2.size, ex2.index("x"), ex2.identity
+    for w in ((-1,), (n,), (x, -1), (-1, x), (x, n), (n, x), (e, -1), (e, n)):
+        with pytest.raises(ValueError, match="unknown element index"):
+            fn(ex2, w)
+
+
 # ------------------------------------------------------------------ decomposition
 
 def test_left_standard_decomposition_example(ex2):

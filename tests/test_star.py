@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import parmon as P
 from conftest import wrd
+from oracles import brute_assoc_counterexamples
 
 
 def test_star_examples(ex2, letters3):
@@ -87,6 +88,18 @@ def test_letters3_find_all_counts_48(letters3):
 
 def test_group2_associative(group2):
     assert P.associativity_search(group2, 4).associative
+
+
+def test_search_matches_star_folds(ex2, letters3, sample_tables):
+    # the search's lstd shortcuts against both bracketings folded with
+    # star; words of length 2 wherever that stays under 10^4 triples
+    cases = [(ex2, 3), (letters3, 1)]
+    for t in sample_tables:
+        cases.append((t, 2 if len(P.enumerate_irreducible(t, 2)) <= 21 else 1))
+    for m, L in cases:
+        report = P.associativity_search(m, L, find_all=True)
+        got = [(c.u, c.v, c.w, c.left, c.right) for c in report.counterexamples]
+        assert got == brute_assoc_counterexamples(m, L)
 
 
 def test_counterexamples_verify(letters3):
