@@ -54,7 +54,8 @@ def _load_valid(path: str) -> PartialMonoid:
 
 
 def _names(m: PartialMonoid, w: Word) -> list[str]:
-    return [m.name(c) for c in w]
+    """Letter names of a word the library produced, so every index is in range."""
+    return [m.elements[c] for c in w]
 
 
 # ------------------------------------------------------------------ commands
@@ -84,13 +85,14 @@ def cmd_confluence(args) -> int:
     agree = None
     if args.oracle:
         agree = newman_check(m) == verdict.confluent
+    names = m.elements
     if args.json:
         out = {
             "confluent": verdict.confluent,
             "method": verdict.method,
             "a0_witnesses": [
-                {"x": m.name(t.x), "y": m.name(t.y), "z": m.name(t.z),
-                 "a": m.name(t.a), "b": m.name(t.b),
+                {"x": names[t.x], "y": names[t.y], "z": names[t.z],
+                 "a": names[t.a], "b": names[t.b],
                  "pair": [_names(m, t.pair[0]), _names(m, t.pair[1])]}
                 for t in verdict.a0_witnesses],
         }
@@ -100,7 +102,7 @@ def cmd_confluence(args) -> int:
     else:
         print("confluent" if verdict.confluent else "not confluent")
         for t in verdict.a0_witnesses:
-            print(f"  A0 ({m.name(t.x)}, {m.name(t.y)}, {m.name(t.z)}): "
+            print(f"  A0 ({names[t.x]}, {names[t.y]}, {names[t.z]}): "
                   f"{format_word(m, t.pair[0])} vs {format_word(m, t.pair[1])}")
         if agree is not None:
             print("oracle agrees" if agree else "oracle DISAGREES")
@@ -150,19 +152,20 @@ def cmd_critical_pairs(args) -> int:
     counts = {k.value: 0 for k in PairClass}
     for t in triples:
         counts[t.kind.value] += 1
+    names = m.elements
     if args.json:
         print(json.dumps({
             "triples": [
-                {"x": m.name(t.x), "y": m.name(t.y), "z": m.name(t.z),
-                 "a": m.name(t.a), "b": m.name(t.b), "class": t.kind.value}
+                {"x": names[t.x], "y": names[t.y], "z": names[t.z],
+                 "a": names[t.a], "b": names[t.b], "class": t.kind.value}
                 for t in triples],
             "counts": counts,
         }))
     else:
         print("x y z a b class")
         for t in triples:
-            print(f"{m.name(t.x)} {m.name(t.y)} {m.name(t.z)} "
-                  f"{m.name(t.a)} {m.name(t.b)} {t.kind.value}")
+            print(f"{names[t.x]} {names[t.y]} {names[t.z]} "
+                  f"{names[t.a]} {names[t.b]} {t.kind.value}")
         print(f"counts: A0={counts['A0']} A1={counts['A1']} B={counts['B']}")
     return EXIT_OK
 

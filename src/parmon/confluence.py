@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator
 
 from .monoid import PartialMonoid, forks
 from .rewriting import normal_forms
@@ -49,18 +50,23 @@ class EssentialTriple:
         return ((self.a, self.z), (self.x, self.b))
 
 
+def _classified(m: PartialMonoid) -> Iterator[tuple[int, int, int, int, int, PairClass]]:
+    """Every fork as (x, y, z, a, b, kind), in (x, y, z) index order."""
+    rows = m.rows
+    # locals, because an enum attribute lookup costs more than the test
+    B, A1, A0 = PairClass.B, PairClass.A1, PairClass.A0
+    for x, y, z, a, b in forks(m):
+        if rows[a][z] is not None:
+            yield x, y, z, a, b, B
+        elif a == x and b == z:
+            yield x, y, z, a, b, A1
+        else:
+            yield x, y, z, a, b, A0
+
+
 def essential_critical_pairs(m: PartialMonoid) -> list[EssentialTriple]:
     """Classify every fork, in (x, y, z) index order.  Assumes m validates."""
-    out = []
-    for x, y, z, a, b in forks(m):
-        if m.rows[a][z] is not None:
-            kind = PairClass.B
-        elif a == x and b == z:
-            kind = PairClass.A1
-        else:
-            kind = PairClass.A0
-        out.append(EssentialTriple(x, y, z, a, b, kind))
-    return out
+    return [EssentialTriple(*fork) for fork in _classified(m)]
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,9 @@ class ConfluenceVerdict:
 
 
 def is_confluent(m: PartialMonoid) -> ConfluenceVerdict:
-    a0 = tuple(t for t in essential_critical_pairs(m) if t.kind is PairClass.A0)
+    """One pass over the forks; only the A0 ones become witnesses."""
+    A0 = PairClass.A0
+    a0 = tuple(EssentialTriple(*fork) for fork in _classified(m) if fork[5] is A0)
     return ConfluenceVerdict(not a0, a0, "essential")
 
 
@@ -130,9 +138,27 @@ def generic_critical_pairs(m: PartialMonoid) -> list[GenericCriticalPair]:
 def newman_check(m: PartialMonoid) -> bool:
     """Confluence via local confluence: every critical pair converges.
 
-    A pair converges when its sides share a normal form; each distinct
-    word's normal forms are computed once.
+    Walks the pairs of generic_critical_pairs in the same order without
+    building them, and stops at the first pair whose sides share no
+    normal form.  Each word's normal forms are computed once, when a
+    pair first needs them.
     """
-    pairs = [cp.pair for cp in generic_critical_pairs(m)]
-    forms = {w: normal_forms(m, w) for w in {w for pair in pairs for w in pair}}
-    return all(forms[u] & forms[v] for u, v in pairs)
+    forms: dict[Word, frozenset[Word]] = {}
+
+    def nf(w: Word) -> frozenset[Word]:
+        f = forms.get(w)
+        if f is None:
+            f = forms[w] = normal_forms(m, w)
+        return f
+
+    for x, _, z, a, b in forks(m):
+        if not nf((a, z)) & nf((x, b)):
+            return False
+    e = m.identity
+    for x, y, z in m.products:
+        # the erasing rule inside the left side x y, at each identity letter
+        if x == e and not nf((z,)) & nf((y,)):
+            return False
+        if y == e and not nf((z,)) & nf((x,)):
+            return False
+    return True

@@ -95,15 +95,21 @@ def right_comb(t: Tree) -> Tree:
 
 
 def evaluate(m: PartialMonoid, t: Tree) -> Word:
-    """Multiply the leaf labels with star, following the bracketing.
+    """Multiply the leaf labels with star, following the bracketing."""
+    for label in leaf_labels(t):
+        if not is_irreducible(m, label):
+            raise ValueError(f"leaf label {label} is not irreducible")
+    return _join(m, t)
+
+
+def _join(m: PartialMonoid, t: Tree) -> Word:
+    """evaluate on a tree whose leaf labels are known to be irreducible.
 
     Both halves are irreducible, so star is lstd without its checks.
     """
     if isinstance(t, Leaf):
-        if not is_irreducible(m, t.label):
-            raise ValueError(f"leaf label {t.label} is not irreducible")
         return t.label
-    return lstd(m, evaluate(m, t.left) + evaluate(m, t.right))
+    return lstd(m, _join(m, t.left) + _join(m, t.right))
 
 
 def verify_rotation_invariance(m: PartialMonoid, t: Tree) -> bool:
@@ -111,12 +117,13 @@ def verify_rotation_invariance(m: PartialMonoid, t: Tree) -> bool:
 
     Each comparison searches for a conversion capped at the combined
     letter count of the leaf labels; every bracketing evaluates inside
-    that length.
+    that length.  Rotations keep the leaf sequence, so the labels are
+    checked once, on t.
     """
     cap = sum(len(label) for label in leaf_labels(t))
     base = evaluate(m, t)
     return all(
-        convertible_bounded(m, base, evaluate(m, s), cap) is not None
+        convertible_bounded(m, base, _join(m, s), cap) is not None
         for s in rotation_closure(t))
 
 

@@ -199,6 +199,29 @@ def test_critical_pairs_letters3_json(capsys):
             "class": "A0"} in data["triples"]
 
 
+
+# ------------------------------------------------------------------ golden output
+
+GOLDEN = ROOT / "tests" / "golden"
+
+
+@pytest.mark.parametrize("fixture", ["ex2", "letters3"])
+@pytest.mark.parametrize("argv, slug", [
+    (["confluence", "--oracle"], "confluence-oracle"),
+    (["confluence", "--oracle", "--json"], "confluence-oracle-json"),
+    (["critical-pairs", "--json"], "critical-pairs-json"),
+])
+def test_golden_output(capsys, fixture, argv, slug):
+    # witness lists and their order, byte for byte
+    path = str(FIXTURES / f"{fixture}.monoid")
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    expected = (GOLDEN / f"{fixture}.{slug}.txt").read_text(encoding="utf-8")
+    assert out == expected
+    assert err == ""
+    negative = fixture == "letters3" and argv[0] == "confluence"
+    assert code == (cli.EXIT_NEGATIVE if negative else cli.EXIT_OK)
+
+
 # ------------------------------------------------------------------ star
 
 def test_star(capsys):

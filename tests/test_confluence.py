@@ -140,6 +140,13 @@ def test_verdict_fields(ex2, letters3):
     assert v3.confluent == (not v3.a0_witnesses)
 
 
+def test_a0_witnesses_are_the_a0_essential_pairs(ex2, letters3, du2,
+                                                 sample_tables):
+    for m in (ex2, letters3, du2, *sample_tables):
+        expected = [t for t in P.essential_critical_pairs(m)
+                    if t.kind is P.PairClass.A0]
+        assert list(P.is_confluent(m).a0_witnesses) == expected
+
 def test_a0_fork_words_have_multiple_normal_forms(letters3, du2):
     for m in (letters3, du2):
         for t in P.is_confluent(m).a0_witnesses:
@@ -232,6 +239,34 @@ def test_newman_agrees_with_essential(ex2, letters3, group2, trivial, du2):
     for m in (ex2, letters3, group2, trivial, du2):
         assert P.newman_check(m) == P.is_confluent(m).confluent
 
+
+def test_newman_matches_generic_pairs(ex2, letters3, du2, sample_tables):
+    answers = set()
+    for m in (ex2, letters3, du2, *sample_tables):
+        expected = all(P.normal_forms(m, u) & P.normal_forms(m, v)
+                       for u, v in (cp.pair for cp in P.generic_critical_pairs(m)))
+        assert P.newman_check(m) == expected
+        answers.add(expected)
+    assert answers == {True, False}
+
+
+def test_newman_stops_at_first_failing_pair(letters3, monkeypatch):
+    # each word's normal forms once, in pair order, up to the first
+    # pair that does not converge and no further
+    pairs = [cp.pair for cp in P.generic_critical_pairs(letters3)]
+    first = next(i for i, (u, v) in enumerate(pairs)
+                 if not P.normal_forms(letters3, u) & P.normal_forms(letters3, v))
+    needed = list(dict.fromkeys(w for pair in pairs[:first + 1] for w in pair))
+    assert len(needed) < len({w for pair in pairs for w in pair})
+    calls = []
+
+    def counting(m, w):
+        calls.append(w)
+        return P.normal_forms(m, w)
+
+    monkeypatch.setattr("parmon.confluence.normal_forms", counting)
+    assert not P.newman_check(letters3)
+    assert calls == needed
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -197,6 +197,18 @@ def test_rotation_invariance_long_labels(letters3):
     assert P.verify_rotation_invariance(letters3, t)
 
 
+def test_rotation_invariance_rejects_bad_leaf_labels(ex2):
+    # the labels are checked once, on the given tree, not skipped
+    e, x, y, z = (ex2.index(n) for n in ("1", "x", "y", "z"))
+    for bad in (P.Leaf((x, y)), P.Leaf((e,)), P.Leaf((z, e))):
+        for t in (bad, P.Node(bad, P.Leaf((z,))),
+                  P.Node(P.Node(P.Leaf((z,)), P.Leaf((x,))), bad)):
+            with pytest.raises(ValueError, match="not irreducible"):
+                P.verify_rotation_invariance(ex2, t)
+    with pytest.raises(ValueError, match="unknown element index"):
+        P.verify_rotation_invariance(ex2, P.Node(P.Leaf((x,)), P.Leaf((4,))))
+
+
 # ------------------------------------------------------------------ text form
 
 def test_format_tree(ex2, letters3, pentagon):
