@@ -8,11 +8,10 @@ from .magma import (Leaf, Node, Tree, evaluate, format_tree, leaf_labels,
                     leaves, parse_tree, rank, right_comb, rotation_closure,
                     rotations, verify_rotation_invariance)
 from .monoid import (InvertibilityFlags, ParseError, PartialMonoid,
-                     TotalMonoid, ValidationReport, Violation,
-                     gen_disjoint_union_monoid, gen_no_common_letters_monoid,
-                     invertibility_report, is_catenary, parse_monoid,
-                     random_monoid, serialize_monoid,
-                     total_associativity_witnesses, totalize, validate)
+                     ValidationReport, Violation, gen_disjoint_union_monoid,
+                     gen_no_common_letters_monoid, invertibility_report,
+                     is_catenary, parse_monoid, random_monoid,
+                     serialize_monoid, validate)
 from .rewriting import (LstdDecomposition, ReductionTrace, TraceStep,
                         convertible_bounded, expansions,
                         left_standard_decomposition, left_standard_step,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .monoid import PartialMonoid, forks
 from .rewriting import normal_forms
@@ -36,8 +36,7 @@ class PairClass(enum.Enum):
     B = "B"
 
 
-@dataclass(frozen=True)
-class EssentialTriple:
+class EssentialTriple(NamedTuple):
     x: int
     y: int
     z: int
@@ -66,7 +65,7 @@ def _classified(m: PartialMonoid) -> Iterator[tuple[int, int, int, int, int, Pai
 
 def essential_critical_pairs(m: PartialMonoid) -> list[EssentialTriple]:
     """Classify every fork, in (x, y, z) index order.  Assumes m validates."""
-    return [EssentialTriple(*fork) for fork in _classified(m)]
+    return list(map(EssentialTriple._make, _classified(m)))
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class ConfluenceVerdict:
 def is_confluent(m: PartialMonoid) -> ConfluenceVerdict:
     """One pass over the forks; only the A0 ones become witnesses."""
     A0 = PairClass.A0
-    a0 = tuple(EssentialTriple(*fork) for fork in _classified(m) if fork[5] is A0)
+    a0 = tuple(EssentialTriple._make(fork) for fork in _classified(m) if fork[5] is A0)
     return ConfluenceVerdict(not a0, a0, "essential")
 
 

@@ -137,9 +137,24 @@ def format_tree(m: PartialMonoid, t: Tree) -> str:
     return f"({format_tree(m, t.left)} {format_tree(m, t.right)})"
 
 
+MAX_TREE_DEPTH = 200  # deepest bracket nesting parse_tree accepts
+
+
 def parse_tree(m: PartialMonoid, text: str) -> Tree:
-    """Fully bracketed form: a leaf name, or ( tree tree )."""
+    """Fully bracketed form: a leaf name, or ( tree tree ).
+
+    The tree functions recurse along the bracketing, so nesting deeper
+    than MAX_TREE_DEPTH raises ValueError before anything is parsed.
+    """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    depth = 0
+    for tok in tokens:
+        if tok == "(":
+            depth += 1
+            if depth > MAX_TREE_DEPTH:
+                raise ValueError(f"tree nested deeper than {MAX_TREE_DEPTH} brackets")
+        elif tok == ")":
+            depth -= 1
     pos = 0
 
     def parse() -> Tree:

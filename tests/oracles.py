@@ -9,6 +9,7 @@ product, the definition that associativity_search's shortcuts must match.
 
 import functools
 import itertools
+from dataclasses import dataclass
 
 from parmon import star
 
@@ -30,6 +31,29 @@ def brute_chain_violations(m):
         if left_def != right_def or (left_def and left != right):
             bad.add((x, y, z))
     return bad
+
+
+def brute_chain_scan(m):
+    """Every chain-law violation as (x, y, z, code), in (x, y, z) order.
+
+    code is "left-only" when only (x*y)*z is defined, "right-only" when
+    only x*(y*z) is, and "unequal" when both are and they differ.
+    """
+    t = table_of(m)
+    n = len(m.elements)
+    out = []
+    for x, y, z in itertools.product(range(n), repeat=3):
+        left = t.get((t[(x, y)], z)) if (x, y) in t else None
+        right = t.get((x, t[(y, z)])) if (y, z) in t else None
+        if left is None and right is None:
+            continue
+        if right is None:
+            out.append((x, y, z, "left-only"))
+        elif left is None:
+            out.append((x, y, z, "right-only"))
+        elif left != right:
+            out.append((x, y, z, "unequal"))
+    return out
 
 
 def brute_irreducible(m, max_len):
@@ -135,3 +159,52 @@ def brute_reachable(m, w):
                     nxt.append(r)
         frontier = nxt
     return seen
+
+
+# ------------------------------------------------------------------ totalization
+
+@dataclass(frozen=True)
+class TotalMonoid:
+    """The partial monoid with an absorbing zero adjoined.
+
+    Undefined products go to the zero; the zero swallows everything.
+    The element list is the source carrier plus the zero, zero last.
+    """
+
+    elements: tuple
+    identity: int
+    zero: int
+    table: tuple
+
+    def mul(self, x, y):
+        return self.table[x][y]
+
+
+def totalize(m):
+    n = len(m.elements)
+    zero_name = next(c for c in ("0", "zero", "_zero", "o_zero")
+                     if c not in m.elements)
+    rows = [[n] * (n + 1) for _ in range(n + 1)]
+    for x, y, z in m.products:
+        rows[x][y] = z
+    return TotalMonoid(m.elements + (zero_name,), m.identity, n,
+                       tuple(tuple(r) for r in rows))
+
+
+def total_associativity_witnesses(t):
+    """Triples where the totalized product fails to associate.
+
+    Zero-involving triples never fail (the zero absorbs), so witnesses
+    always lie in the original carrier and are comparable one-for-one
+    with the chain-law scan.
+    """
+    n = len(t.elements)
+    out = []
+    for x in range(n):
+        row_x = t.table[x]
+        for y in range(n):
+            xy = row_x[y]
+            for z in range(n):
+                if t.table[xy][z] != row_x[t.table[y][z]]:
+                    out.append((x, y, z))
+    return out

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: text, json, exit codes."""
 
+import functools
 import json
 import os
 import shutil
@@ -149,6 +150,17 @@ def test_normalize_all(capsys):
     code, data, _ = run_json(capsys, "normalize", LETTERS3, "a", "b", "a", "--all")
     assert data == {"input": ["a", "b", "a"],
                     "normal_forms": [["a", "ba"], ["ab", "a"]]}
+
+
+def test_normalize_all_over_the_word_cap(capsys, monkeypatch):
+    # the default cap of a million words takes half a minute to reach
+    capped = functools.partial(parmon.normal_forms, max_words=1000)
+    monkeypatch.setattr(cli, "normal_forms", capped)
+    code, out, err = run(capsys, "normalize", EX2, *["1", "y"] * 40, "--all")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: more than 1000 reachable words; "
+                   "raise max_words or shorten the word\n")
 
 
 def test_normalize_trace(capsys):
@@ -343,6 +355,23 @@ def test_magma_demo_bad_tree(capsys):
     code, _, err = run(capsys, "magma-demo", EX2, "((x y)")
     assert code == 1
     assert "unexpected end" in err
+
+
+def test_magma_demo_deep_tree(capsys):
+    # past the bound: an error line, not a RecursionError traceback
+    deep = "(" * 1500 + "a" + " a)" * 1500
+    code, out, err = run(capsys, "magma-demo", LETTERS3, deep)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: tree nested deeper than {parmon.magma.MAX_TREE_DEPTH} brackets\n"
+    # a right comb at the bound still runs
+    depth = parmon.magma.MAX_TREE_DEPTH
+    code, data, err = run_json(capsys, "magma-demo", LETTERS3,
+                               "(a " * depth + "a" + ")" * depth)
+    assert code == 0
+    assert err == ""
+    assert data["leaves"] == depth + 1
+    assert data["evaluation"] == ["a"] * (depth + 1)
 
 
 # ------------------------------------------------------------------ random-check

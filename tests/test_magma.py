@@ -240,6 +240,19 @@ def test_parse_tree_errors(ex2):
         P.parse_tree(ex2, "")
 
 
+def test_parse_tree_depth_bound(ex2):
+    depth = P.magma.MAX_TREE_DEPTH
+    text = "(" * depth + "x" + " x)" * depth
+    t = P.parse_tree(ex2, text)
+    assert P.format_tree(ex2, t) == text
+    assert P.leaves(t) == depth + 1
+    assert P.evaluate(ex2, t) == wrd(ex2, " ".join(["x"] * (depth + 1)))
+    # one bracket more is refused before any parsing, unbalanced or not
+    for deeper in ("(" * (depth + 1) + "x" + " x)" * (depth + 1), "(" * (depth + 1)):
+        with pytest.raises(ValueError, match=f"deeper than {depth} brackets"):
+            P.parse_tree(ex2, deeper)
+
+
 def test_trees_are_hashable_values(ex2):
     x = wrd(ex2, "x")
     assert P.Leaf(x) == P.Leaf(x)

@@ -1,13 +1,17 @@
 """Tables, parsing, validation, totalization, probes, generators."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmon as P
 from conftest import EX2_TEXT
-from oracles import brute_catenary, brute_chain_violations, table_of
+from oracles import (brute_catenary, brute_chain_scan, brute_chain_violations,
+                     table_of, total_associativity_witnesses, totalize)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # ------------------------------------------------------------------ construction
@@ -197,8 +201,54 @@ def test_validate_agrees_with_brute_oracle_on_random_tables(data):
         if z >= 0:
             products[(x, y)] = z
     m = P.PartialMonoid([f"e{i}" if i else "1" for i in range(n)], 0, products)
-    report = P.validate(m)  # internal cross-check runs on every call
+    report = P.validate(m)
     assert {(v.x, v.y, v.z) for v in report.violations} == brute_chain_violations(m)
+    assert [(v.x, v.y, v.z, v.code) for v in report.violations] == brute_chain_scan(m)
+
+
+def test_validate_lists_violations_in_scan_order(du2, sample_tables):
+    # the ordered list, codes included, and the totalized product's witnesses
+    fixtures = [P.parse_monoid((FIXTURES / f"{name}.monoid").read_text())
+                for name in ("ex2", "letters3")]
+    tables = fixtures + [du2] + sample_tables
+    assert any(not P.validate(m).valid for m in tables)
+    for m in tables:
+        report = P.validate(m)
+        assert [(v.x, v.y, v.z, v.code) for v in report.violations] == brute_chain_scan(m)
+        assert ({(v.x, v.y, v.z) for v in report.violations}
+                == set(total_associativity_witnesses(totalize(m))))
+
+
+def _one_product_edits(m, pairs):
+    """Every table that differs from m in the product of exactly one pair."""
+    products = {(x, y): z for x, y, z in m.products}
+    for x, y in pairs:
+        for z in (None, *range(m.size)):
+            if products.get((x, y)) == z:
+                continue
+            edited = dict(products)
+            if z is None:
+                del edited[(x, y)]
+            else:
+                edited[(x, y)] = z
+            yield P.PartialMonoid(m.elements, m.identity, edited)
+
+
+def test_validate_verdict_on_every_one_product_edit(ex2, letters3):
+    # a generating set that covers too much would call a broken table valid
+    du3 = P.gen_disjoint_union_monoid(3)
+    seen = set()
+    for m, every_pair in ((ex2, True), (letters3, False), (du3, True)):
+        rest = m.non_identity()
+        if every_pair:
+            pairs = [(x, y) for x in rest for y in rest]
+        else:
+            pairs = [(x, y) for x, y, _ in m.products if m.identity not in (x, y)]
+        for e in _one_product_edits(m, pairs):
+            valid = not brute_chain_violations(e)
+            assert P.validate(e).valid == valid
+            seen.add(valid)
+    assert seen == {True, False}
 
 
 def test_validation_report_valid_property():
@@ -210,7 +260,7 @@ def test_validation_report_valid_property():
 # ------------------------------------------------------------------ totalization
 
 def test_totalize_adds_absorbing_zero(ex2):
-    t = P.totalize(ex2)
+    t = totalize(ex2)
     assert t.elements == ("1", "x", "y", "z", "0")
     assert t.zero == 4
     assert t.identity == ex2.identity
@@ -226,19 +276,19 @@ def test_totalize_adds_absorbing_zero(ex2):
 
 def test_totalize_picks_fresh_zero_name():
     m = P.parse_monoid("elements: 1 0 zero\nidentity: 1\n")
-    t = P.totalize(m)
+    t = totalize(m)
     assert t.elements[-1] == "_zero"
     assert len(set(t.elements)) == len(t.elements)
 
 
 def test_total_associativity_oracle_on_valid_monoids(ex2, letters3, group2):
     for m in (ex2, letters3, group2):
-        assert P.total_associativity_witnesses(P.totalize(m)) == []
+        assert total_associativity_witnesses(totalize(m)) == []
 
 
 def test_total_associativity_oracle_flags_same_triples():
     m = P.parse_monoid("elements: 1 x y a\nidentity: 1\nx y = a\na a = a\n")
-    witnesses = set(P.total_associativity_witnesses(P.totalize(m)))
+    witnesses = set(total_associativity_witnesses(totalize(m)))
     assert witnesses == brute_chain_violations(m)
     assert witnesses == {(v.x, v.y, v.z) for v in P.validate(m).violations}
 

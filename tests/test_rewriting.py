@@ -105,6 +105,17 @@ def test_normal_forms_of_a_long_word(ex2):
     assert P.normal_forms(ex2, (y,) * 600) == {(y,)}
 
 
+def test_normal_forms_word_cap(ex2):
+    # (1 y)^k reaches about 2^(k+1) words; the cap counts them, w included
+    w = wrd(ex2, " ".join(["1", "y"] * 8))
+    reachable = len(brute_reachable(ex2, w))
+    assert P.normal_forms(ex2, w, max_words=reachable) == P.normal_forms(ex2, w)
+    with pytest.raises(ValueError, match=f"more than {reachable - 1} reachable words"):
+        P.normal_forms(ex2, w, max_words=reachable - 1)
+    with pytest.raises(ValueError, match="raise max_words or shorten the word"):
+        P.normal_forms(ex2, wrd(ex2, " ".join(["1", "y"] * 40)), max_words=1000)
+
+
 # ------------------------------------------------------------------ bad letters
 
 WORD_FUNCTIONS = {
