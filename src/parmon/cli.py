@@ -93,7 +93,7 @@ def cmd_confluence(args) -> int:
             "a0_witnesses": [
                 {"x": names[t.x], "y": names[t.y], "z": names[t.z],
                  "a": names[t.a], "b": names[t.b],
-                 "pair": [[names[t.a], names[t.z]], [names[t.x], names[t.b]]]}
+                 "pair": [[names[c] for c in w] for w in t.pair]}
                 for t in verdict.a0_witnesses],
         }
         if agree is not None:

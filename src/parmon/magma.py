@@ -143,11 +143,13 @@ MAX_TREE_DEPTH = 200  # deepest bracket nesting parse_tree accepts
 def parse_tree(m: PartialMonoid, text: str) -> Tree:
     """Fully bracketed form: a leaf name, or ( tree tree ).
 
-    The tree functions recurse along the bracketing, so nesting deeper
-    than MAX_TREE_DEPTH raises ValueError before anything is parsed.
+    The tree functions recurse along the bracketing, and on the right
+    comb, which is one level deep per leaf.  So nesting deeper than
+    MAX_TREE_DEPTH, or more than MAX_TREE_DEPTH + 1 leaves, raises
+    ValueError before anything is parsed.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    depth = 0
+    depth = count = 0
     for tok in tokens:
         if tok == "(":
             depth += 1
@@ -155,6 +157,10 @@ def parse_tree(m: PartialMonoid, text: str) -> Tree:
                 raise ValueError(f"tree nested deeper than {MAX_TREE_DEPTH} brackets")
         elif tok == ")":
             depth -= 1
+        else:
+            count += 1
+            if count > MAX_TREE_DEPTH + 1:
+                raise ValueError(f"tree has more than {MAX_TREE_DEPTH + 1} leaves")
     pos = 0
 
     def parse() -> Tree:

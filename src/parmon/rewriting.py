@@ -42,18 +42,21 @@ def one_step_reductions(m: PartialMonoid, w: Word) -> set[tuple[int, Word]]:
     return set(_steps(m, w))
 
 
-def normal_forms(m: PartialMonoid, w: Word,
-                 max_words: int = 1_000_000) -> frozenset[Word]:
+MAX_REACHABLE_WORDS = 1_000_000  # most words normal_forms will visit, w included
+
+
+def normal_forms(m: PartialMonoid, w: Word) -> frozenset[Word]:
     """Every irreducible word reachable from w.
 
     Swept one length layer at a time, so each word is expanded once.
-    The count of reachable words is checked as a layer grows, so an
-    overflowing layer is never built in full.
+    The count of reachable words is checked against MAX_REACHABLE_WORDS
+    as a layer grows, so an overflowing layer is never built in full.
     """
     check_word(m, w)
+    cap = MAX_REACHABLE_WORDS
     forms = set()
     layer = {w}
-    room = max_words - 1  # words still allowed after w
+    room = cap - 1  # words still allowed after w
     while layer:
         nxt: set[Word] = set()
         for u in layer:
@@ -61,8 +64,8 @@ def normal_forms(m: PartialMonoid, w: Word,
             if succ:
                 nxt.update(succ)
                 if len(nxt) > room:
-                    raise ValueError(f"more than {max_words} reachable words; "
-                                     "raise max_words or shorten the word")
+                    raise ValueError(f"more than {cap} reachable words; "
+                                     "shorten the word")
             else:
                 forms.add(u)
         room -= len(nxt)

@@ -1,6 +1,5 @@
 """End-to-end command line behavior: text, json, exit codes."""
 
-import functools
 import json
 import os
 import shutil
@@ -154,13 +153,11 @@ def test_normalize_all(capsys):
 
 def test_normalize_all_over_the_word_cap(capsys, monkeypatch):
     # the default cap of a million words takes half a minute to reach
-    capped = functools.partial(parmon.normal_forms, max_words=1000)
-    monkeypatch.setattr(cli, "normal_forms", capped)
+    monkeypatch.setattr(parmon.rewriting, "MAX_REACHABLE_WORDS", 1000)
     code, out, err = run(capsys, "normalize", EX2, *["1", "y"] * 40, "--all")
     assert code == 1
     assert out == ""
-    assert err == ("error: more than 1000 reachable words; "
-                   "raise max_words or shorten the word\n")
+    assert err == "error: more than 1000 reachable words; shorten the word\n"
 
 
 def test_normalize_trace(capsys):
@@ -372,6 +369,18 @@ def test_magma_demo_deep_tree(capsys):
     assert err == ""
     assert data["leaves"] == depth + 1
     assert data["evaluation"] == ["a"] * (depth + 1)
+
+
+def test_magma_demo_wide_tree(capsys):
+    # a balanced tree passes the depth bound, but its right comb is one
+    # level deep per leaf: 1,024 leaves must end in an error line too
+    wide = "a"
+    for _ in range(10):
+        wide = f"({wide} {wide})"
+    code, out, err = run(capsys, "magma-demo", LETTERS3, wide)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: tree has more than {parmon.magma.MAX_TREE_DEPTH + 1} leaves\n"
 
 
 # ------------------------------------------------------------------ random-check

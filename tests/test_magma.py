@@ -253,6 +253,20 @@ def test_parse_tree_depth_bound(ex2):
             P.parse_tree(ex2, deeper)
 
 
+def test_parse_tree_leaf_bound(ex2):
+    # the right comb of a tree is one level deep per leaf, so the leaf
+    # count is bounded too, even when the bracketing is shallow
+    depth = P.magma.MAX_TREE_DEPTH
+    t = P.parse_tree(ex2, "(x " * depth + "x" + ")" * depth)
+    assert P.leaves(P.right_comb(t)) == depth + 1
+    balanced = "x"
+    while balanced.count("x") <= depth + 1:
+        balanced = f"({balanced} {balanced})"
+    for wide in (balanced, "x " * (depth + 2)):
+        with pytest.raises(ValueError, match=f"more than {depth + 1} leaves"):
+            P.parse_tree(ex2, wide)
+
+
 def test_trees_are_hashable_values(ex2):
     x = wrd(ex2, "x")
     assert P.Leaf(x) == P.Leaf(x)

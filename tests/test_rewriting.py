@@ -105,15 +105,19 @@ def test_normal_forms_of_a_long_word(ex2):
     assert P.normal_forms(ex2, (y,) * 600) == {(y,)}
 
 
-def test_normal_forms_word_cap(ex2):
+def test_normal_forms_word_cap(ex2, monkeypatch):
     # (1 y)^k reaches about 2^(k+1) words; the cap counts them, w included
     w = wrd(ex2, " ".join(["1", "y"] * 8))
     reachable = len(brute_reachable(ex2, w))
-    assert P.normal_forms(ex2, w, max_words=reachable) == P.normal_forms(ex2, w)
+    forms = P.normal_forms(ex2, w)
+    monkeypatch.setattr(P.rewriting, "MAX_REACHABLE_WORDS", reachable)
+    assert P.normal_forms(ex2, w) == forms
+    monkeypatch.setattr(P.rewriting, "MAX_REACHABLE_WORDS", reachable - 1)
     with pytest.raises(ValueError, match=f"more than {reachable - 1} reachable words"):
-        P.normal_forms(ex2, w, max_words=reachable - 1)
-    with pytest.raises(ValueError, match="raise max_words or shorten the word"):
-        P.normal_forms(ex2, wrd(ex2, " ".join(["1", "y"] * 40)), max_words=1000)
+        P.normal_forms(ex2, w)
+    monkeypatch.setattr(P.rewriting, "MAX_REACHABLE_WORDS", 1000)
+    with pytest.raises(ValueError, match="more than 1000 reachable words; shorten the word"):
+        P.normal_forms(ex2, wrd(ex2, " ".join(["1", "y"] * 40)))
 
 
 # ------------------------------------------------------------------ bad letters
