@@ -7,6 +7,12 @@ a non-confluent system associativity already fails on one-letter words
 drawn from any A0 fork.  Either way each bracketing of u, v, w stays
 convertible to the plain concatenation, so associativity always holds
 modulo convertibility.
+
+Bracketing law: for irreducible v and w with v + w irreducible,
+lstd(v + w) = v + w, so both bracketings of u, v, w are lstd(u + v + w)
+and the triple cannot be a counterexample, on any table.  Two
+irreducible words concatenate to an irreducible word exactly when one
+is empty or their boundary letters do not compose.
 """
 
 from __future__ import annotations
@@ -62,21 +68,35 @@ def associativity_search(m: PartialMonoid, max_len: int,
 
     Every word here is irreducible, so star is lstd without its checks;
     lstd(lstd(s) + t) = lstd(s + t) makes (u*v)*w just lstd(u + v + w).
+    By the bracketing law only the (v, w) whose boundary letters compose
+    can fail, so just those pairs are visited, each lstd(v + w) computed
+    once.  With check_congruence every other triple is recorded True,
+    which is what the conversion search returns for equal words.
     """
     irr = enumerate_irreducible(m, max_len)
+    rows = m.rows
+    pairs = [(v, w, lstd(m, v + w)) for v, w in itertools.product(irr, repeat=2)
+             if v and w and rows[v[-1]][w[0]] is not None]
     found = []
-    congruence: dict[tuple[Word, Word, Word], bool] = {}
-    for u, v, w in itertools.product(irr, repeat=3):
-        left = lstd(m, u + v + w)
-        right = lstd(m, u + lstd(m, v + w))
-        if check_congruence:
-            path = convertible_bounded(m, left, right,
-                                       len(u) + len(v) + len(w))
-            congruence[(u, v, w)] = path is not None
-        if left != right:
-            found.append(AssocCounterexample(u, v, w, left, right))
-            if not find_all:
-                break
+    congruence: dict[tuple[Word, Word, Word], bool] = (
+        dict.fromkeys(itertools.product(irr, repeat=3), True)
+        if check_congruence else {})
+    for u in irr:
+        for v, w, vw in pairs:
+            left = lstd(m, u + v + w)
+            right = lstd(m, u + vw)
+            if check_congruence:
+                path = convertible_bounded(m, left, right,
+                                           len(u) + len(v) + len(w))
+                congruence[(u, v, w)] = path is not None
+            if left != right:
+                found.append(AssocCounterexample(u, v, w, left, right))
+                if not find_all:
+                    if check_congruence:  # only the triples up to this one
+                        keys = list(congruence)
+                        congruence = {k: congruence[k] for k in
+                                      keys[:keys.index((u, v, w)) + 1]}
+                    return AssocReport(max_len, False, tuple(found), congruence)
     return AssocReport(max_len, not found, tuple(found), congruence)
 
 
@@ -102,29 +122,3 @@ def associativity_iff_confluence(m: PartialMonoid, max_len: int) -> bool:
     to the bound.
     """
     return associativity_search(m, max_len).associative == is_confluent(m).confluent
-
-
-def quotient_representatives(m: PartialMonoid, max_len: int
-                             ) -> dict[Word, tuple[Word, ...]]:
-    """Group all words up to max_len by their left standard normal form.
-
-    Only meaningful when the system is confluent, so non-confluent input
-    is refused.  Each class is keyed by its one irreducible member, and
-    membership is rechecked by an explicit conversion search.
-    """
-    verdict = is_confluent(m)
-    if not verdict.confluent:
-        raise ValueError("monoid is not confluent; classes would collide")
-    classes: dict[Word, list[Word]] = {}
-    for length in range(max_len + 1):
-        for w in itertools.product(range(len(m.elements)), repeat=length):
-            classes.setdefault(lstd(m, w), []).append(w)
-    for rep, members in classes.items():
-        irreducible_members = [w for w in members if is_irreducible(m, w)]
-        if irreducible_members != [rep]:
-            raise RuntimeError(f"class of {rep} has irreducible members "
-                               f"{irreducible_members}")
-        for w in members:
-            if convertible_bounded(m, w, rep) is None:
-                raise RuntimeError(f"no conversion found from {w} to {rep}")
-    return {rep: tuple(members) for rep, members in classes.items()}

@@ -219,6 +219,9 @@ GOLDEN = ROOT / "tests" / "golden"
     (["confluence", "--oracle"], "confluence-oracle"),
     (["confluence", "--oracle", "--json"], "confluence-oracle-json"),
     (["critical-pairs", "--json"], "critical-pairs-json"),
+    (["assoc-test", "--max-len", "2"], "assoc-test"),
+    (["assoc-test", "--max-len", "2", "--json"], "assoc-test-json"),
+    (["assoc-test", "--max-len", "1", "--all", "--json"], "assoc-test-all-json"),
 ])
 def test_golden_output(capsys, fixture, argv, slug):
     # witness lists and their order, byte for byte
@@ -227,7 +230,7 @@ def test_golden_output(capsys, fixture, argv, slug):
     expected = (GOLDEN / f"{fixture}.{slug}.txt").read_text(encoding="utf-8")
     assert out == expected
     assert err == ""
-    negative = fixture == "letters3" and argv[0] == "confluence"
+    negative = fixture == "letters3" and argv[0] in ("confluence", "assoc-test")
     assert code == (cli.EXIT_NEGATIVE if negative else cli.EXIT_OK)
 
 
@@ -284,6 +287,19 @@ def test_assoc_letters3_all_json(capsys):
     assert data["confluent"] is False
     assert data["match"] is True
     assert len(data["counterexamples"]) == 48
+    assert data["counterexamples"][0] == {
+        "u": ["a"], "v": ["b"], "w": ["a"],
+        "left": ["ab", "a"], "right": ["a", "ba"]}
+
+
+def test_assoc_letters3_length2_all_json(capsys):
+    # the full length-2 sweep: 11.1 M triples, 94 % of them skipped
+    code, data, _ = run_json(capsys, "assoc-test", LETTERS3,
+                             "--max-len", "2", "--all")
+    assert code == cli.EXIT_NEGATIVE
+    assert data["associative"] is False
+    assert data["match"] is True
+    assert len(data["counterexamples"]) == 8748
     assert data["counterexamples"][0] == {
         "u": ["a"], "v": ["b"], "w": ["a"],
         "left": ["ab", "a"], "right": ["a", "ba"]}

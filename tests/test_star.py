@@ -97,9 +97,12 @@ def test_search_matches_star_folds(ex2, letters3, sample_tables):
     for t in sample_tables:
         cases.append((t, 2 if len(P.enumerate_irreducible(t, 2)) <= 21 else 1))
     for m, L in cases:
-        report = P.associativity_search(m, L, find_all=True)
-        got = [(c.u, c.v, c.w, c.left, c.right) for c in report.counterexamples]
-        assert got == brute_assoc_counterexamples(m, L)
+        expected = brute_assoc_counterexamples(m, L)
+        for find_all, want in ((True, expected), (False, expected[:1])):
+            report = P.associativity_search(m, L, find_all=find_all)
+            got = [(c.u, c.v, c.w, c.left, c.right)
+                   for c in report.counterexamples]
+            assert got == want
 
 
 def test_counterexamples_verify(letters3):
@@ -122,6 +125,25 @@ def test_assoc_modulo_congruence_letters3(letters3):
     results = P.assoc_modulo_congruence(letters3, 1)
     assert len(results) == 16 ** 3
     assert all(results.values())
+
+
+def test_congruence_check_covers_every_triple(ex2, letters3):
+    # triples the bracketing law skips are still recorded, in order
+    for m, L in ((ex2, 2), (letters3, 1)):
+        results = P.assoc_modulo_congruence(m, L)
+        irr = P.enumerate_irreducible(m, L)
+        assert list(results) == list(itertools.product(irr, repeat=3))
+        assert all(results.values())
+
+
+def test_congruence_check_stops_with_the_search(letters3):
+    # without find_all the record ends at the first counterexample
+    report = P.associativity_search(letters3, 1, check_congruence=True)
+    irr = P.enumerate_irreducible(letters3, 1)
+    triples = list(itertools.product(irr, repeat=3))
+    c = report.counterexample
+    assert list(report.congruence_check) == triples[:triples.index((c.u, c.v, c.w)) + 1]
+    assert all(report.congruence_check.values())
 
 
 def test_congruence_check_empty_when_not_requested(ex2):
@@ -152,38 +174,19 @@ def test_nonconfluent_fails_already_on_letters(letters3, du2):
 
 # ------------------------------------------------------------------ quotient
 
-def test_quotient_group2_frozen(group2):
-    one, g = 0, 1
-    classes = P.quotient_representatives(group2, 2)
-    assert classes == {
-        (): ((), (one,), (one, one), (g, g)),
-        (g,): ((g,), (one, g), (g, one)),
-    }
-
-
-def test_quotient_ex2_structure(ex2):
-    classes = P.quotient_representatives(ex2, 3)
-    assert set(classes) == set(P.enumerate_irreducible(ex2, 3))
-    total = sum(len(v) for v in classes.values())
-    assert total == 1 + 4 + 16 + 64  # every word up to length 3 lands somewhere
-    for rep, members in classes.items():
-        assert rep in members
-        for w in members:
-            assert P.lstd(ex2, w) == rep
-
-
-def test_quotient_star_matches_class_product(ex2):
-    # multiplying representatives agrees with concatenating any members
-    classes = P.quotient_representatives(ex2, 2)
-    reps = [r for r in classes if len(r) <= 1]
-    for r1 in reps:
-        for r2 in reps:
-            expected = P.star(ex2, r1, r2)
-            for w1 in classes[r1][:3]:
-                for w2 in classes[r2][:3]:
-                    assert P.lstd(ex2, w1 + w2) == expected
-
-
-def test_quotient_refuses_nonconfluent(letters3):
-    with pytest.raises(ValueError, match="not confluent"):
-        P.quotient_representatives(letters3, 2)
+def test_lstd_picks_one_irreducible_word_per_class(ex2, group2):
+    # confluent: lstd maps every word to an irreducible fixed point, the
+    # distinct images are exactly the irreducible words, and star on the
+    # images is the product of the classes
+    for m in (ex2, group2):
+        assert P.is_confluent(m).confluent
+        words = [w for length in range(4)
+                 for w in itertools.product(range(m.size), repeat=length)]
+        for w in words:
+            r = P.lstd(m, w)
+            assert P.is_irreducible(m, r)
+            assert P.lstd(m, r) == r
+        assert {P.lstd(m, w) for w in words} == set(P.enumerate_irreducible(m, 3))
+        short = [w for w in words if len(w) <= 2]
+        for w1, w2 in itertools.product(short, repeat=2):
+            assert P.lstd(m, w1 + w2) == P.star(m, P.lstd(m, w1), P.lstd(m, w2))
