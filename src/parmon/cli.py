@@ -28,19 +28,15 @@ EXIT_USAGE = 2
 EXIT_NEGATIVE = 3
 
 
-class InputError(Exception):
-    """A monoid file that cannot be read, parsed or validated; exit 1."""
-
-
 def _load(path: str) -> PartialMonoid:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}")
     try:
         return parse_monoid(text)
     except ParseError as exc:
-        raise InputError(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}")
 
 
 def _load_valid(path: str) -> PartialMonoid:
@@ -48,7 +44,7 @@ def _load_valid(path: str) -> PartialMonoid:
     report = validate(m)
     if not report.valid:
         first = report.violations[0]
-        raise InputError(f"{path}: not a valid partial monoid; "
+        raise ValueError(f"{path}: not a valid partial monoid; "
                          f"first violation {first.message}")
     return m
 
@@ -374,7 +370,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -12,11 +12,12 @@ the word x y z into a z and x b, and the fork is
 The system is confluent exactly when no fork is A0; an A0 fork never
 involves the identity anywhere.
 
-The oracle route builds every critical pair of the rule set by the
-standard superposition construction (staggered overlaps of two left
-sides, and containment of one left side in another) and checks each
-pair for a common reduct.  A terminating system is confluent exactly
-when all critical pairs converge, so both routes must agree.
+The oracle route checks every critical pair of the rule set for a
+common reduct.  The pairs come from the standard superposition
+construction: the staggered overlap of two left sides, x y against
+y z on the word x y z, and the erasing rule inside a left side that
+contains the identity letter.  A terminating system is confluent
+exactly when all critical pairs converge, so both routes must agree.
 """
 
 from __future__ import annotations
@@ -82,65 +83,13 @@ def is_confluent(m: PartialMonoid) -> ConfluenceVerdict:
     return ConfluenceVerdict(not a0, a0, "essential")
 
 
-# ------------------------------------------------------------------ generic pairs
-
-@dataclass(frozen=True)
-class GenericCriticalPair:
-    """A fork of one word by two rule applications.
-
-    source is the superposition word; applying rule1 at pos1 gives
-    pair[0], rule2 at pos2 gives pair[1].  kind is "overlap" for
-    staggered left sides and "inclusion" for one left side inside the
-    other.  Self-superposition of a rule at its own position is not a
-    fork and is excluded.
-    """
-
-    kind: str
-    rule1: tuple[Word, Word]
-    pos1: int
-    rule2: tuple[Word, Word]
-    pos2: int
-    source: Word
-    pair: tuple[Word, Word]
-
-
-def apply_rule(rule: tuple[Word, Word], w: Word, pos: int) -> Word:
-    lhs, rhs = rule
-    if w[pos:pos + len(lhs)] != lhs:
-        raise ValueError("rule does not match at position")
-    return w[:pos] + rhs + w[pos + len(lhs):]
-
-
-def generic_critical_pairs(m: PartialMonoid) -> list[GenericCriticalPair]:
-    """All critical pairs of the rule set, in deterministic order."""
-    e = m.identity
-    erase: tuple[Word, Word] = ((e,), ())
-    out = []
-    # overlaps: lhs (x, y) at 0 against lhs (y, z) at 1 on the word x y z
-    for x, y, z, a, b in forks(m):
-        r1: tuple[Word, Word] = ((x, y), (a,))
-        r2: tuple[Word, Word] = ((y, z), (b,))
-        out.append(GenericCriticalPair(
-            "overlap", r1, 0, r2, 1, (x, y, z), ((a, z), (x, b))))
-    # inclusions: the erasing rule inside a product left side
-    for x, y, z in m.products:
-        outer: tuple[Word, Word] = ((x, y), (z,))
-        for p, letter in enumerate((x, y)):
-            if letter == e:
-                source: Word = (x, y)
-                out.append(GenericCriticalPair(
-                    "inclusion", outer, 0, erase, p, source,
-                    ((z,), source[:p] + source[p + 1:])))
-    return out
-
-
 def newman_check(m: PartialMonoid) -> bool:
     """Confluence via local confluence: every critical pair converges.
 
-    Walks the pairs of generic_critical_pairs in the same order without
-    building them, and stops at the first pair whose sides share no
-    normal form.  Each word's normal forms are computed once, when a
-    pair first needs them.
+    Walks the overlap pairs (a z, x b) of the forks in (x, y, z) order,
+    then the inclusion pairs of each product line in table order, and
+    stops at the first pair whose sides share no normal form.  Each
+    word's normal forms are computed once, when a pair first needs them.
     """
     forms: dict[Word, frozenset[Word]] = {}
 

@@ -377,38 +377,6 @@ def is_catenary(m: PartialMonoid) -> tuple[bool, Optional[tuple[int, int, int]]]
     return True, None
 
 
-@dataclass(frozen=True)
-class InvertibilityFlags:
-    left: bool   # some x' has x'*x = identity
-    right: bool  # some x' has x*x' = identity
-
-
-def invertibility_report(m: PartialMonoid) -> tuple[InvertibilityFlags, ...]:
-    """Per-element invertibility flags, indexed like m.elements.
-
-    Also rechecks a consequence of the chain law that every valid monoid
-    must satisfy: a right invertible element composes on the right with
-    everything, a left invertible one on the left.  Assumes m validates.
-    """
-    n = len(m.elements)
-    left = [False] * n
-    right = [False] * n
-    for x, y, z in m.products:
-        if z == m.identity:
-            right[x] = True
-            left[y] = True
-    for x in range(n):
-        if right[x] and any(row[x] is None for row in m.rows):
-            raise RuntimeError(
-                f"right invertible {m.elements[x]} misses a left composition; "
-                "the monoid cannot be valid")
-        if left[x] and None in m.rows[x]:
-            raise RuntimeError(
-                f"left invertible {m.elements[x]} misses a right composition; "
-                "the monoid cannot be valid")
-    return tuple(InvertibilityFlags(left[i], right[i]) for i in range(n))
-
-
 # ------------------------------------------------------------------ generators
 
 def _check_cap(size: int) -> None:

@@ -50,16 +50,26 @@ class AssocReport:
     max_len: int
     associative: bool
     counterexamples: tuple[AssocCounterexample, ...]
-    congruence_check: dict[tuple[Word, Word, Word], bool]
 
     @property
     def counterexample(self) -> Optional[AssocCounterexample]:
         return self.counterexamples[0] if self.counterexamples else None
 
 
+def _open_pairs(m: PartialMonoid, irr: list[Word]) -> list[tuple[Word, Word, Word]]:
+    """(v, w, lstd(v + w)) for the pairs whose boundary letters compose.
+
+    By the bracketing law only triples with such a (v, w) can fail.
+    Pairs come in product order, so looping u outside keeps the triples
+    in enumeration order.
+    """
+    rows = m.rows
+    return [(v, w, lstd(m, v + w)) for v, w in itertools.product(irr, repeat=2)
+            if v and w and rows[v[-1]][w[0]] is not None]
+
+
 def associativity_search(m: PartialMonoid, max_len: int,
-                         find_all: bool = False,
-                         check_congruence: bool = False) -> AssocReport:
+                         find_all: bool = False) -> AssocReport:
     """Test both bracketings on every irreducible triple up to max_len.
 
     Triples run in enumeration order (shortest first, then lex), so the
@@ -70,34 +80,20 @@ def associativity_search(m: PartialMonoid, max_len: int,
     lstd(lstd(s) + t) = lstd(s + t) makes (u*v)*w just lstd(u + v + w).
     By the bracketing law only the (v, w) whose boundary letters compose
     can fail, so just those pairs are visited, each lstd(v + w) computed
-    once.  With check_congruence every other triple is recorded True,
-    which is what the conversion search returns for equal words.
+    once.
     """
     irr = enumerate_irreducible(m, max_len)
-    rows = m.rows
-    pairs = [(v, w, lstd(m, v + w)) for v, w in itertools.product(irr, repeat=2)
-             if v and w and rows[v[-1]][w[0]] is not None]
+    pairs = _open_pairs(m, irr)
     found = []
-    congruence: dict[tuple[Word, Word, Word], bool] = (
-        dict.fromkeys(itertools.product(irr, repeat=3), True)
-        if check_congruence else {})
     for u in irr:
         for v, w, vw in pairs:
             left = lstd(m, u + v + w)
             right = lstd(m, u + vw)
-            if check_congruence:
-                path = convertible_bounded(m, left, right,
-                                           len(u) + len(v) + len(w))
-                congruence[(u, v, w)] = path is not None
             if left != right:
                 found.append(AssocCounterexample(u, v, w, left, right))
                 if not find_all:
-                    if check_congruence:  # only the triples up to this one
-                        keys = list(congruence)
-                        congruence = {k: congruence[k] for k in
-                                      keys[:keys.index((u, v, w)) + 1]}
-                    return AssocReport(max_len, False, tuple(found), congruence)
-    return AssocReport(max_len, not found, tuple(found), congruence)
+                    return AssocReport(max_len, False, tuple(found))
+    return AssocReport(max_len, not found, tuple(found))
 
 
 def assoc_modulo_congruence(m: PartialMonoid, max_len: int
@@ -107,11 +103,20 @@ def assoc_modulo_congruence(m: PartialMonoid, max_len: int
     The search is capped at the combined letter count of the triple;
     the conversion through the plain concatenation fits under that cap,
     so on a valid monoid every entry should come back True.  False
-    records a search that found nothing within the bound.
+    records a search that found nothing within the bound.  A triple the
+    bracketing law settles has equal bracketings and is recorded True,
+    as the search would return for equal words.
     """
-    report = associativity_search(m, max_len, find_all=True,
-                                  check_congruence=True)
-    return report.congruence_check
+    irr = enumerate_irreducible(m, max_len)
+    pairs = _open_pairs(m, irr)
+    congruence = dict.fromkeys(itertools.product(irr, repeat=3), True)
+    for u in irr:
+        for v, w, vw in pairs:
+            left = lstd(m, u + v + w)
+            right = lstd(m, u + vw)
+            congruence[(u, v, w)] = convertible_bounded(
+                m, left, right, len(u) + len(v) + len(w)) is not None
+    return congruence
 
 
 def associativity_iff_confluence(m: PartialMonoid, max_len: int) -> bool:

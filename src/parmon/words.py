@@ -29,15 +29,19 @@ def is_irreducible(m: PartialMonoid, w: Word) -> bool:
     return all(rows[x][y] is None for x, y in zip(w, w[1:]))
 
 
-def enumerate_irreducible(m: PartialMonoid, max_len: int,
-                          max_words: int = 1_000_000) -> list[Word]:
+MAX_IRREDUCIBLE_WORDS = 1_000_000  # most words enumerate_irreducible returns
+
+
+def enumerate_irreducible(m: PartialMonoid, max_len: int) -> list[Word]:
     """All irreducible words up to max_len, shortest first then lex.
 
     Grows layer by layer: a word of length k+1 is irreducible exactly
     when its length-k prefix is and the appended letter neither is the
-    identity nor composes with the last letter.  The cap is checked as a
-    layer grows, so an overflowing layer is never built in full.
+    identity nor composes with the last letter.  MAX_IRREDUCIBLE_WORDS
+    is checked as a layer grows, so an overflowing layer is never built
+    in full.
     """
+    cap = MAX_IRREDUCIBLE_WORDS
     out: list[Word] = [EMPTY]
     layer: list[Word] = [EMPTY]
     letters = m.non_identity()
@@ -47,9 +51,9 @@ def enumerate_irreducible(m: PartialMonoid, max_len: int,
         nxt: list[Word] = []
         for w in layer:
             nxt.extend(w + (c,) for c in (follow[w[-1]] if w else letters))
-            if len(out) + len(nxt) > max_words:
-                raise ValueError(f"more than {max_words} irreducible words; "
-                                 "raise max_words or lower max_len")
+            if len(out) + len(nxt) > cap:
+                raise ValueError(f"more than {cap} irreducible words; "
+                                 "lower max_len")
         out.extend(nxt)
         if not nxt:
             break

@@ -2,16 +2,17 @@
 
 Everything here works straight off the product table with dumb loops and
 no shared code paths with the package internals, so a bug would have to
-appear twice, in two different shapes, to slip through.  The one
-exception, brute_assoc_counterexamples, folds with the public star
-product, the definition that associativity_search's shortcuts must match.
+appear twice, in two different shapes, to slip through.  The exceptions,
+brute_assoc_counterexamples and brute_assoc_congruence, fold with the
+public star product, the definition that the shortcuts of
+associativity_search and assoc_modulo_congruence must match.
 """
 
 import functools
 import itertools
 from dataclasses import dataclass
 
-from parmon import star
+from parmon import convertible_bounded, enumerate_irreducible, star
 
 
 def table_of(m):
@@ -111,6 +112,24 @@ def brute_assoc_counterexamples(m, max_len):
     return out
 
 
+def brute_assoc_congruence(m, max_len):
+    """Are the two bracketings of each irreducible triple convertible?
+
+    Every triple of enumerate_irreducible(m, max_len), in product order,
+    folded both ways with the checked star product and searched with
+    convertible_bounded, capped at the triple's letter count.
+    """
+    mul = functools.lru_cache(maxsize=None)(lambda a, b: star(m, a, b))
+    irr = enumerate_irreducible(m, max_len)
+    out = {}
+    for u, v, w in itertools.product(irr, repeat=3):
+        left = mul(mul(u, v), w)
+        right = mul(u, mul(v, w))
+        out[(u, v, w)] = convertible_bounded(
+            m, left, right, len(u) + len(v) + len(w)) is not None
+    return out
+
+
 def brute_classify(m):
     """Fork classification by raw table lookups, in (x, y, z) order."""
     t = table_of(m)
@@ -159,6 +178,62 @@ def brute_reachable(m, w):
                     nxt.append(r)
         frontier = nxt
     return seen
+
+
+# ------------------------------------------------------------------ critical pairs
+
+@dataclass(frozen=True)
+class GenericCriticalPair:
+    """A fork of one word by two rule applications.
+
+    source is the superposition word; applying rule1 at pos1 gives
+    pair[0], rule2 at pos2 gives pair[1].  kind is "overlap" for
+    staggered left sides and "inclusion" for one left side inside the
+    other.  Self-superposition of a rule at its own position is not a
+    fork and is excluded.
+    """
+
+    kind: str
+    rule1: tuple
+    pos1: int
+    rule2: tuple
+    pos2: int
+    source: tuple
+    pair: tuple
+
+
+def apply_rule(rule, w, pos):
+    lhs, rhs = rule
+    if w[pos:pos + len(lhs)] != lhs:
+        raise ValueError("rule does not match at position")
+    return w[:pos] + rhs + w[pos + len(lhs):]
+
+
+def generic_critical_pairs(m):
+    """Every critical pair of the rule set, the reference for newman_check.
+
+    Overlaps first, lhs (x, y) at 0 against lhs (y, z) at 1 on the word
+    x y z, in (x, y, z) order; then the erasing rule inside each product
+    left side that holds the identity letter, in (x, y) order.
+    """
+    t = table_of(m)
+    n = len(m.elements)
+    e = m.identity
+    out = []
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if (x, y) in t and (y, z) in t:
+            a, b = t[(x, y)], t[(y, z)]
+            out.append(GenericCriticalPair(
+                "overlap", ((x, y), (a,)), 0, ((y, z), (b,)), 1,
+                (x, y, z), ((a, z), (x, b))))
+    for (x, y), c in sorted(t.items()):
+        source = (x, y)
+        for p, letter in enumerate(source):
+            if letter == e:
+                out.append(GenericCriticalPair(
+                    "inclusion", (source, (c,)), 0, ((e,), ()), p,
+                    source, ((c,), source[:p] + source[p + 1:])))
+    return out
 
 
 # ------------------------------------------------------------------ totalization

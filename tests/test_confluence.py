@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmon as P
-from oracles import brute_classify
+from oracles import apply_rule, brute_classify, generic_critical_pairs
 
 
 def classes(triples):
@@ -165,7 +165,7 @@ def test_confluent_words_have_one_normal_form(ex2, group2, trivial):
 # ------------------------------------------------------------------ generic pairs
 
 def test_generic_pairs_trivial_monoid(trivial):
-    pairs = P.generic_critical_pairs(trivial)
+    pairs = generic_critical_pairs(trivial)
     assert pairs  # identity rules superpose with themselves
     for cp in pairs:
         nf = P.normal_forms(trivial, cp.pair[0]) & P.normal_forms(trivial, cp.pair[1])
@@ -175,7 +175,7 @@ def test_generic_pairs_trivial_monoid(trivial):
 
 def test_generic_overlap_example(ex2):
     x, y = ex2.index("x"), ex2.index("y")
-    overlaps = [cp for cp in P.generic_critical_pairs(ex2)
+    overlaps = [cp for cp in generic_critical_pairs(ex2)
                 if cp.kind == "overlap" and cp.source == (x, y, y)]
     assert len(overlaps) == 1
     cp = overlaps[0]
@@ -186,7 +186,7 @@ def test_generic_overlap_example(ex2):
 
 def test_generic_inclusion_example(ex2):
     e, x = ex2.identity, ex2.index("x")
-    incl = [cp for cp in P.generic_critical_pairs(ex2)
+    incl = [cp for cp in generic_critical_pairs(ex2)
             if cp.kind == "inclusion" and cp.source == (x, e)]
     assert len(incl) == 1
     cp = incl[0]
@@ -198,29 +198,29 @@ def test_generic_inclusion_example(ex2):
 def test_inclusion_pairs_are_trivial(ex2, letters3, group2):
     # erasing inside an identity-involving left side lands on the same word
     for m in (ex2, letters3, group2):
-        for cp in P.generic_critical_pairs(m):
+        for cp in generic_critical_pairs(m):
             if cp.kind == "inclusion":
                 assert cp.pair[0] == cp.pair[1]
 
 
 def test_apply_rule_reconstructs_pairs(ex2, letters3):
     for m in (ex2, letters3):
-        for cp in P.generic_critical_pairs(m):
-            assert P.apply_rule(cp.rule1, cp.source, cp.pos1) == cp.pair[0]
-            assert P.apply_rule(cp.rule2, cp.source, cp.pos2) == cp.pair[1]
+        for cp in generic_critical_pairs(m):
+            assert apply_rule(cp.rule1, cp.source, cp.pos1) == cp.pair[0]
+            assert apply_rule(cp.rule2, cp.source, cp.pos2) == cp.pair[1]
 
 
 def test_apply_rule_checks_match():
     with pytest.raises(ValueError, match="does not match"):
-        P.apply_rule(((1, 2), (3,)), (1, 1, 2), 0)
-    assert P.apply_rule(((1, 2), (3,)), (1, 1, 2), 1) == (1, 3)
+        apply_rule(((1, 2), (3,)), (1, 1, 2), 0)
+    assert apply_rule(((1, 2), (3,)), (1, 1, 2), 1) == (1, 3)
 
 
 def test_overlaps_mirror_essential_triples(ex2, letters3, sample_tables):
     # same forks in the same (x, y, z) order
     for m in (ex2, letters3, *sample_tables):
         overlaps = [(cp.source, cp.pair)
-                    for cp in P.generic_critical_pairs(m)
+                    for cp in generic_critical_pairs(m)
                     if cp.kind == "overlap"]
         essential = [((t.x, t.y, t.z), t.pair)
                      for t in P.essential_critical_pairs(m)]
@@ -244,7 +244,7 @@ def test_newman_matches_generic_pairs(ex2, letters3, du2, sample_tables):
     answers = set()
     for m in (ex2, letters3, du2, *sample_tables):
         expected = all(P.normal_forms(m, u) & P.normal_forms(m, v)
-                       for u, v in (cp.pair for cp in P.generic_critical_pairs(m)))
+                       for u, v in (cp.pair for cp in generic_critical_pairs(m)))
         assert P.newman_check(m) == expected
         answers.add(expected)
     assert answers == {True, False}
@@ -253,7 +253,7 @@ def test_newman_matches_generic_pairs(ex2, letters3, du2, sample_tables):
 def test_newman_stops_at_first_failing_pair(letters3, monkeypatch):
     # each word's normal forms once, in pair order, up to the first
     # pair that does not converge and no further
-    pairs = [cp.pair for cp in P.generic_critical_pairs(letters3)]
+    pairs = [cp.pair for cp in generic_critical_pairs(letters3)]
     first = next(i for i, (u, v) in enumerate(pairs)
                  if not P.normal_forms(letters3, u) & P.normal_forms(letters3, v))
     needed = list(dict.fromkeys(w for pair in pairs[:first + 1] for w in pair))

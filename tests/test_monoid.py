@@ -341,28 +341,6 @@ def test_catenary_implies_confluent_on_samples():
     assert seen_catenary > 0
 
 
-def test_invertibility_group(group2):
-    flags = P.invertibility_report(group2)
-    assert all(f.left and f.right for f in flags)
-
-
-def test_invertibility_ex2(ex2):
-    flags = P.invertibility_report(ex2)
-    # no product line hits the identity, so only the identity is invertible
-    assert flags[ex2.identity] == P.InvertibilityFlags(True, True)
-    for i in ex2.non_identity():
-        assert flags[i] == P.InvertibilityFlags(False, False)
-
-
-def test_invertibility_rejects_partial_invertibles():
-    # g*g = 1 but q composes with nothing: g is invertible yet misses
-    # compositions, impossible in a valid monoid, so the probe must raise
-    m = P.PartialMonoid(["1", "g", "q"], 0, {(1, 1): 0})
-    assert not P.validate(m).valid
-    with pytest.raises(RuntimeError, match="invertible"):
-        P.invertibility_report(m)
-
-
 # ------------------------------------------------------------------ generators
 
 def test_disjoint_union_monoid_small():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import parmon as P
 from conftest import wrd
-from oracles import brute_assoc_counterexamples
+from oracles import brute_assoc_congruence, brute_assoc_counterexamples
 
 
 def test_star_examples(ex2, letters3):
@@ -136,19 +136,13 @@ def test_congruence_check_covers_every_triple(ex2, letters3):
         assert all(results.values())
 
 
-def test_congruence_check_stops_with_the_search(letters3):
-    # without find_all the record ends at the first counterexample
-    report = P.associativity_search(letters3, 1, check_congruence=True)
-    irr = P.enumerate_irreducible(letters3, 1)
-    triples = list(itertools.product(irr, repeat=3))
-    c = report.counterexample
-    assert list(report.congruence_check) == triples[:triples.index((c.u, c.v, c.w)) + 1]
-    assert all(report.congruence_check.values())
-
-
-def test_congruence_check_empty_when_not_requested(ex2):
-    report = P.associativity_search(ex2, 2)
-    assert report.congruence_check == {}
+def test_congruence_matches_brute_force(ex2, letters3, du2, sample_tables):
+    # the same items in the same order, the skipped triples included
+    cases = [(ex2, 2), (letters3, 1), (du2, 1)]
+    cases += [(m, 1) for m in sample_tables if P.validate(m).valid]
+    for m, L in cases:
+        got = P.assoc_modulo_congruence(m, L)
+        assert list(got.items()) == list(brute_assoc_congruence(m, L).items())
 
 
 # ------------------------------------------------------------------ the equivalence

@@ -67,10 +67,12 @@ def test_invertible_letters_cap_length(group2):
     assert P.enumerate_irreducible(group2, 10) == [P.EMPTY, (1,)]
 
 
-def test_enumerate_respects_max_words_cap(letters3):
-    with pytest.raises(ValueError, match="irreducible words"):
-        P.enumerate_irreducible(letters3, 4, max_words=100)
-    assert len(P.enumerate_irreducible(letters3, 1, max_words=16)) == 16
+def test_enumerate_respects_max_words_cap(letters3, monkeypatch):
+    monkeypatch.setattr("parmon.words.MAX_IRREDUCIBLE_WORDS", 100)
+    with pytest.raises(ValueError, match="more than 100 irreducible words"):
+        P.enumerate_irreducible(letters3, 4)
+    monkeypatch.setattr("parmon.words.MAX_IRREDUCIBLE_WORDS", 16)
+    assert len(P.enumerate_irreducible(letters3, 1)) == 16
 
 
 def test_parse_word(ex2):
