@@ -15,7 +15,7 @@ from .rewriting import (LstdDecomposition, ReductionTrace, TraceStep,
                         left_standard_successors, lstd, lstd_trace,
                         normal_forms, one_step_reductions)
 from .star import (AssocCounterexample, AssocReport, assoc_modulo_congruence,
-                   associativity_iff_confluence, associativity_search, star)
+                   associativity_search, star)
 from .words import (EMPTY, Word, enumerate_irreducible, format_word,
                     is_irreducible, parse_word)
 

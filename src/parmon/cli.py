@@ -85,7 +85,7 @@ def cmd_confluence(args) -> int:
     if args.json:
         out = {
             "confluent": verdict.confluent,
-            "method": verdict.method,
+            "method": "essential",
             "a0_witnesses": [
                 {"x": names[t.x], "y": names[t.y], "z": names[t.z],
                  "a": names[t.a], "b": names[t.b],
@@ -330,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("normalize", cmd_normalize, "reduce a word")
     p.add_argument("file")
     p.add_argument("word", nargs="+", help="element names, or eps")
-    p.add_argument("--all", action="store_true", help="list every normal form")
-    p.add_argument("--trace", action="store_true", help="show each step")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--all", action="store_true", help="list every normal form")
+    mode.add_argument("--trace", action="store_true", help="show each step")
 
     p = add("critical-pairs", cmd_critical_pairs, "table of essential forks")
     p.add_argument("file")

@@ -21,7 +21,7 @@ from typing import Union
 
 from .monoid import EMPTY_WORD_TOKEN, PartialMonoid
 from .rewriting import convertible_bounded, lstd
-from .words import Word, is_irreducible
+from .words import Word, format_word, is_irreducible
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,7 @@ def verify_rotation_invariance(m: PartialMonoid, t: Tree) -> bool:
 
 def format_tree(m: PartialMonoid, t: Tree) -> str:
     if isinstance(t, Leaf):
-        if not t.label:
-            return EMPTY_WORD_TOKEN
-        return "·".join(m.name(c) for c in t.label)
+        return format_word(m, t.label)
     return f"({format_tree(m, t.left)} {format_tree(m, t.right)})"
 
 

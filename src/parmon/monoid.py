@@ -58,8 +58,7 @@ class PartialMonoid:
     job of :func:`validate`.
     """
 
-    __slots__ = ("elements", "identity", "products", "rows",
-                 "_index", "_facts", "_hash")
+    __slots__ = ("elements", "identity", "products", "rows", "_index", "_facts")
 
     def __init__(self, elements: Iterable[str], identity: int,
                  products: Mapping[tuple[int, int], int]):
@@ -104,7 +103,6 @@ class PartialMonoid:
         for x, y, z in self.products:
             facts.setdefault(z, []).append((x, y))
         self._facts = {z: tuple(ps) for z, ps in facts.items()}
-        self._hash = hash((self.elements, self.identity, self.products))
 
     # -------------------------------------------------- basic queries
 
@@ -118,9 +116,6 @@ class PartialMonoid:
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"unknown element index in product ({x}, {y})")
         return self.rows[x][y]
-
-    def defined(self, x: int, y: int) -> bool:
-        return self.mul(x, y) is not None
 
     def index(self, name: str) -> int:
         try:
@@ -150,7 +145,7 @@ class PartialMonoid:
                 and self.products == other.products)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.elements, self.identity, self.products))
 
     def __repr__(self) -> str:
         return (f"PartialMonoid({len(self.elements)} elements, "
@@ -194,15 +189,7 @@ def parse_monoid(text: str) -> PartialMonoid:
         raise ParseError("missing identity: line")
 
     eline, names = elements_line
-    index = {}
-    for name in names:
-        if name in index:
-            raise ParseError(f"duplicate element name {name!r}", eline)
-        index[name] = len(index)
-    # name syntax is rechecked by the constructor; check eps early for a
-    # friendlier message with the line number
-    if EMPTY_WORD_TOKEN in index:
-        raise ParseError(f"{EMPTY_WORD_TOKEN!r} cannot name an element", eline)
+    index = {name: i for i, name in enumerate(names)}
 
     iline, iname = identity_line
     if iname not in index:
@@ -228,7 +215,9 @@ def parse_monoid(text: str) -> PartialMonoid:
     try:
         return PartialMonoid(names, identity, products)
     except ValueError as exc:
-        raise ParseError(str(exc))
+        # every index and every forced product is checked above, so only
+        # an element name can fail here
+        raise ParseError(str(exc), eline)
 
 
 def serialize_monoid(m: PartialMonoid) -> str:

@@ -42,21 +42,25 @@ def one_step_reductions(m: PartialMonoid, w: Word) -> set[tuple[int, Word]]:
     return set(_steps(m, w))
 
 
-MAX_REACHABLE_WORDS = 1_000_000  # most words normal_forms will visit, w included
+MAX_REACHABLE_WORDS = 1_000_000  # most words normal_forms will visit
 
 
 def normal_forms(m: PartialMonoid, w: Word) -> frozenset[Word]:
     """Every irreducible word reachable from w.
 
-    Swept one length layer at a time, so each word is expanded once.
-    The count of reachable words is checked against MAX_REACHABLE_WORDS
-    as a layer grows, so an overflowing layer is never built in full.
+    Identity letters of w are erased first: any step at one of them,
+    erasing it or contracting it with a neighbour, gives the word
+    without it, so the normal forms are those of w without them.  From
+    there the words are swept one length layer at a time, so each word
+    is expanded once.  The count of reachable words is checked against
+    MAX_REACHABLE_WORDS as a layer grows, so an overflowing layer is
+    never built in full.
     """
     check_word(m, w)
     cap = MAX_REACHABLE_WORDS
     forms = set()
-    layer = {w}
-    room = cap - 1  # words still allowed after w
+    layer = {tuple(c for c in w if c != m.identity)}
+    room = cap - 1  # words still allowed after the first
     while layer:
         nxt: set[Word] = set()
         for u in layer:

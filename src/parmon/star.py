@@ -21,7 +21,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .confluence import is_confluent
 from .monoid import PartialMonoid
 from .rewriting import convertible_bounded, lstd
 from .words import Word, enumerate_irreducible, is_irreducible
@@ -47,9 +46,11 @@ class AssocCounterexample:
 
 @dataclass
 class AssocReport:
-    max_len: int
-    associative: bool
     counterexamples: tuple[AssocCounterexample, ...]
+
+    @property
+    def associative(self) -> bool:
+        return not self.counterexamples
 
     @property
     def counterexample(self) -> Optional[AssocCounterexample]:
@@ -92,8 +93,8 @@ def associativity_search(m: PartialMonoid, max_len: int,
             if left != right:
                 found.append(AssocCounterexample(u, v, w, left, right))
                 if not find_all:
-                    return AssocReport(max_len, False, tuple(found))
-    return AssocReport(max_len, not found, tuple(found))
+                    return AssocReport(tuple(found))
+    return AssocReport(tuple(found))
 
 
 def assoc_modulo_congruence(m: PartialMonoid, max_len: int
@@ -118,12 +119,3 @@ def assoc_modulo_congruence(m: PartialMonoid, max_len: int
                 m, left, right, len(u) + len(v) + len(w)) is not None
     return congruence
 
-
-def associativity_iff_confluence(m: PartialMonoid, max_len: int) -> bool:
-    """Does the associativity verdict at this bound match confluence?
-
-    One direction is exact: a non-confluent system has a one-letter
-    counterexample, found at any max_len >= 1.  The other is sampled up
-    to the bound.
-    """
-    return associativity_search(m, max_len).associative == is_confluent(m).confluent

@@ -165,12 +165,19 @@ def test_normalize_all(capsys):
 
 
 def test_normalize_all_over_the_word_cap(capsys, monkeypatch):
-    # the default cap of a million words takes half a minute to reach
+    # (a b)^20 passes the default cap of a million words only after seconds
     monkeypatch.setattr(parmon.rewriting, "MAX_REACHABLE_WORDS", 1000)
-    code, out, err = run(capsys, "normalize", EX2, *["1", "y"] * 40, "--all")
+    code, out, err = run(capsys, "normalize", LETTERS3, *["a", "b"] * 20, "--all")
     assert code == 1
     assert out == ""
     assert err == "error: more than 1000 reachable words; shorten the word\n"
+
+
+def test_normalize_all_and_trace_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["normalize", EX2, "x", "y", "--all", "--trace"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_normalize_trace(capsys):

@@ -60,7 +60,7 @@ def test_mul_defined_factorizations(ex2):
     assert ex2.mul(y, y) == y
     assert ex2.mul(y, z) == z
     assert ex2.mul(x, z) is None
-    assert ex2.defined(y, z) and not ex2.defined(z, y)
+    assert ex2.mul(y, z) is not None and ex2.mul(z, y) is None
     with pytest.raises(ValueError, match="unknown element index"):
         ex2.mul(0, 9)
     # x has factorizations through the identity plus the table line
@@ -104,7 +104,8 @@ def test_parse_is_order_independent():
     ("elements:\nidentity: 1\n", 1, "lists no elements"),
     ("elements: 1\nidentity: 1 2\n", 2, "exactly one name"),
     ("elements: 1 x x\nidentity: 1\n", 1, "duplicate element name"),
-    ("elements: 1 eps\nidentity: 1\n", 1, "cannot name an element"),
+    ("elements: 1 eps\nidentity: 1\n", 1, "reserved for the empty word"),
+    ("elements: 1 a-b\nidentity: 1\n", 1, "bad element name"),
     ("elements: 1\nidentity: q\n", 2, "unknown identity"),
     ("elements: 1 x\nidentity: 1\nx q = x\n", 3, "unknown element name"),
     ("elements: 1 x\nidentity: 1\nx x = x\nx x = 1\n", 4, "duplicate product"),

@@ -105,19 +105,27 @@ def test_normal_forms_of_a_long_word(ex2):
     assert P.normal_forms(ex2, (y,) * 600) == {(y,)}
 
 
-def test_normal_forms_word_cap(ex2, monkeypatch):
-    # (1 y)^k reaches about 2^(k+1) words; the cap counts them, w included
-    w = wrd(ex2, " ".join(["1", "y"] * 8))
-    reachable = len(brute_reachable(ex2, w))
-    forms = P.normal_forms(ex2, w)
+def test_normal_forms_word_cap(letters3, monkeypatch):
+    # (a b)^k reaches a Fibonacci number of words; the cap counts them, w included
+    w = wrd(letters3, " ".join(["a", "b"] * 4))
+    reachable = len(brute_reachable(letters3, w))
+    assert reachable == 34
+    forms = P.normal_forms(letters3, w)
     monkeypatch.setattr(P.rewriting, "MAX_REACHABLE_WORDS", reachable)
-    assert P.normal_forms(ex2, w) == forms
+    assert P.normal_forms(letters3, w) == forms
     monkeypatch.setattr(P.rewriting, "MAX_REACHABLE_WORDS", reachable - 1)
     with pytest.raises(ValueError, match=f"more than {reachable - 1} reachable words"):
-        P.normal_forms(ex2, w)
+        P.normal_forms(letters3, w)
+    # (a b)^10 reaches 10,946 words
     monkeypatch.setattr(P.rewriting, "MAX_REACHABLE_WORDS", 1000)
     with pytest.raises(ValueError, match="more than 1000 reachable words; shorten the word"):
-        P.normal_forms(ex2, wrd(ex2, " ".join(["1", "y"] * 40)))
+        P.normal_forms(letters3, wrd(letters3, " ".join(["a", "b"] * 10)))
+
+
+def test_normal_forms_erase_identity_letters_first(ex2):
+    # every order of erasing the forty identity letters reaches y
+    w = wrd(ex2, " ".join(["1", "y"] * 40))
+    assert P.normal_forms(ex2, w) == {wrd(ex2, "y")}
 
 
 # ------------------------------------------------------------------ bad letters
@@ -179,7 +187,7 @@ def test_decomposition_finds_leftmost_pair(ex2, letters3, group2):
             d = P.left_standard_decomposition(m, w)
             i = len(d.u)
             assert w == d.u + (d.x, d.y) + d.v
-            assert m.defined(d.x, d.y)
+            assert m.mul(d.x, d.y) is not None
             assert all(m.mul(w[j], w[j + 1]) is None for j in range(i))
 
 

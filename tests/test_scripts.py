@@ -48,3 +48,19 @@ def test_benchmark_imports_resolve():
     # a function dropped from the exports leaves its submodule's name behind
     assert [n for n, obj in found.items()
             if isinstance(obj, types.ModuleType)] == ["cli"]
+
+
+def test_benchmark_tiny_pass_is_correct(tmp_path, monkeypatch):
+    # one in-process pass of each workload against its known answers, so
+    # a change the import check cannot see, like a field becoming a
+    # property, still shows
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracer import NullTracer
+    from workloads import SCALES, WORKLOADS
+    for name, workload in WORKLOADS.items():
+        tr = NullTracer()
+        workdir = tmp_path / name
+        workdir.mkdir()
+        result = workload(3, SCALES["tiny"], tr, workdir).run(tr)
+        assert result["attempted"] >= 1, name
+        assert result["failed"] == 0, name
