@@ -98,7 +98,7 @@ def evaluate(m: PartialMonoid, t: Tree) -> Word:
     """Multiply the leaf labels with star, following the bracketing."""
     for label in leaf_labels(t):
         if not is_irreducible(m, label):
-            raise ValueError(f"leaf label {label} is not irreducible")
+            raise ValueError(f"leaf label {format_word(m, label)} is not irreducible")
     return _join(m, t)
 
 

@@ -6,7 +6,8 @@ a monoid isomorphic to the quotient of all words by convertibility; on
 a non-confluent system associativity already fails on one-letter words
 drawn from any A0 fork.  Either way each bracketing of u, v, w stays
 convertible to the plain concatenation, so associativity always holds
-modulo convertibility.
+modulo convertibility; assoc_modulo_congruence checks that on the
+counterexamples alone, since every other triple has equal bracketings.
 
 Bracketing law: for irreducible v and w with v + w irreducible,
 lstd(v + w) = v + w, so both bracketings of u, v, w are lstd(u + v + w)
@@ -57,18 +58,6 @@ class AssocReport:
         return self.counterexamples[0] if self.counterexamples else None
 
 
-def _open_pairs(m: PartialMonoid, irr: list[Word]) -> list[tuple[Word, Word, Word]]:
-    """(v, w, lstd(v + w)) for the pairs whose boundary letters compose.
-
-    By the bracketing law only triples with such a (v, w) can fail.
-    Pairs come in product order, so looping u outside keeps the triples
-    in enumeration order.
-    """
-    rows = m.rows
-    return [(v, w, lstd(m, v + w)) for v, w in itertools.product(irr, repeat=2)
-            if v and w and rows[v[-1]][w[0]] is not None]
-
-
 def associativity_search(m: PartialMonoid, max_len: int,
                          find_all: bool = False) -> AssocReport:
     """Test both bracketings on every irreducible triple up to max_len.
@@ -84,7 +73,10 @@ def associativity_search(m: PartialMonoid, max_len: int,
     once.
     """
     irr = enumerate_irreducible(m, max_len)
-    pairs = _open_pairs(m, irr)
+    rows = m.rows
+    # product order on the pairs, with u outside, is enumeration order
+    pairs = [(v, w, lstd(m, v + w)) for v, w in itertools.product(irr, repeat=2)
+             if v and w and rows[v[-1]][w[0]] is not None]
     found = []
     for u in irr:
         for v, w, vw in pairs:
@@ -99,23 +91,17 @@ def associativity_search(m: PartialMonoid, max_len: int,
 
 def assoc_modulo_congruence(m: PartialMonoid, max_len: int
                             ) -> dict[tuple[Word, Word, Word], bool]:
-    """Check each triple's bracketings for convertibility, not equality.
+    """Check the counterexample triples' bracketings for convertibility.
 
-    The search is capped at the combined letter count of the triple;
-    the conversion through the plain concatenation fits under that cap,
-    so on a valid monoid every entry should come back True.  False
-    records a search that found nothing within the bound.  A triple the
-    bracketing law settles has equal bracketings and is recorded True,
-    as the search would return for equal words.
+    The keys are the counterexamples of associativity_search(m, max_len,
+    find_all=True), in its order; every other irreducible triple has
+    equal bracketings and needs no search.  Each search is capped at the
+    triple's combined letter count; the conversion through the plain
+    concatenation fits under that cap, so on a valid monoid every value
+    should come back True.  False records a search that found nothing
+    within the bound.
     """
-    irr = enumerate_irreducible(m, max_len)
-    pairs = _open_pairs(m, irr)
-    congruence = dict.fromkeys(itertools.product(irr, repeat=3), True)
-    for u in irr:
-        for v, w, vw in pairs:
-            left = lstd(m, u + v + w)
-            right = lstd(m, u + vw)
-            congruence[(u, v, w)] = convertible_bounded(
-                m, left, right, len(u) + len(v) + len(w)) is not None
-    return congruence
-
+    report = associativity_search(m, max_len, find_all=True)
+    return {(c.u, c.v, c.w): convertible_bounded(
+                m, c.left, c.right, len(c.u) + len(c.v) + len(c.w)) is not None
+            for c in report.counterexamples}

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -389,6 +390,14 @@ def test_magma_demo_bad_tree(capsys):
     assert "unexpected end" in err
 
 
+def test_magma_demo_reducible_leaf_is_named(capsys):
+    code, out, err = run(capsys, "magma-demo", EX2, "(1 x)")
+    assert code == 1
+    assert out == ""
+    assert err == "error: leaf label 1 is not irreducible\n"
+    assert "(0,)" not in err
+
+
 def test_magma_demo_deep_tree(capsys):
     # past the bound: an error line, not a RecursionError traceback
     deep = "(" * 1500 + "a" + " a)" * 1500
@@ -503,6 +512,57 @@ def test_installed_entry_point():
     proc = subprocess.run(cmd + ["confluence", LETTERS3],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == cli.EXIT_NEGATIVE
+
+
+def test_closed_pipe_ends_quietly(tmp_path):
+    # as under `| head -1`: exit 1 and an empty stderr, not a
+    # BrokenPipeError traceback.  The output, over 100 kB, outgrows the
+    # pipe buffer, so the child is still writing when the pipe closes.
+    path = tmp_path / "letters4.monoid"
+    path.write_text(parmon.serialize_monoid(
+        parmon.gen_no_common_letters_monoid("abcd")))
+    cmd, env = _entry_point_command()
+    with subprocess.Popen(cmd + ["critical-pairs", str(path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=env) as proc:
+        assert proc.stdout.readline() == "x y z a b class\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    assert proc.returncode == cli.EXIT_INVALID
+    assert err == ""
+
+
+# ------------------------------------------------------------------ README
+
+def test_readme_session(capsys, monkeypatch):
+    # each `$ parmon` line of the README's command line block, run from
+    # the repository root, against the stdout lines shown under it; a
+    # shown line "..." or "  ..." elides output: the lines above it must
+    # open stdout and the lines below it must close it
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```\n", 2)[1]
+    session = []
+    for line in block.splitlines():
+        if line.startswith("$ parmon "):
+            session.append((shlex.split(line[len("$ parmon "):]), []))
+        elif line:
+            session[-1][1].append(line)
+    assert len(session) == 11
+    monkeypatch.chdir(ROOT)
+    for argv, shown in session:
+        _, out, err = run(capsys, *argv)
+        assert err == "", argv
+        lines = out.splitlines()
+        cut = [i for i, line in enumerate(shown)
+               if line == "..." or line.startswith("  ...")]
+        if not cut:
+            assert lines == shown, argv
+            continue
+        head, tail = shown[:cut[0]], shown[cut[0] + 1:]
+        assert len(lines) >= len(head) + len(tail), argv
+        assert lines[:len(head)] == head, argv
+        assert lines[len(lines) - len(tail):] == tail, argv
 
 
 # ------------------------------------------------------------------ no traceback

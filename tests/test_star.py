@@ -114,34 +114,46 @@ def test_counterexamples_verify(letters3):
 # ------------------------------------------------------------------ congruence
 
 def test_assoc_modulo_congruence_ex2(ex2):
-    results = P.assoc_modulo_congruence(ex2, 2)
-    assert results
-    assert all(results.values())
+    # confluent: no counterexample, so nothing to search
+    assert P.associativity_search(ex2, 2, find_all=True).associative
+    assert P.assoc_modulo_congruence(ex2, 2) == {}
 
 
 def test_assoc_modulo_congruence_letters3(letters3):
     # bracketings differ as words but always convert through u v w
     results = P.assoc_modulo_congruence(letters3, 1)
-    assert len(results) == 16 ** 3
+    assert len(results) == 48
+    assert all(results.values())
+
+
+def test_assoc_modulo_congruence_letters3_length2(letters3):
+    results = P.assoc_modulo_congruence(letters3, 2)
+    assert len(results) == 8748
     assert all(results.values())
 
 
 def test_congruence_check_covers_every_triple(ex2, letters3):
-    # triples the bracketing law skips are still recorded, in order
+    # the keys are the search's counterexamples, in its order
     for m, L in ((ex2, 2), (letters3, 1)):
         results = P.assoc_modulo_congruence(m, L)
-        irr = P.enumerate_irreducible(m, L)
-        assert list(results) == list(itertools.product(irr, repeat=3))
+        report = P.associativity_search(m, L, find_all=True)
+        assert list(results) == [(c.u, c.v, c.w) for c in report.counterexamples]
         assert all(results.values())
 
 
 def test_congruence_matches_brute_force(ex2, letters3, du2, sample_tables):
-    # the same items in the same order, the skipped triples included
+    # every triple is covered: the keys are exactly the triples whose
+    # folded bracketings differ, in order, each with the oracle's value,
+    # and the triples left out have equal bracketings
     cases = [(ex2, 2), (letters3, 1), (du2, 1)]
     cases += [(m, 1) for m in sample_tables if P.validate(m).valid]
     for m, L in cases:
         got = P.assoc_modulo_congruence(m, L)
-        assert list(got.items()) == list(brute_assoc_congruence(m, L).items())
+        expected = brute_assoc_congruence(m, L)
+        differ = [(u, v, w) for u, v, w, _, _ in brute_assoc_counterexamples(m, L)]
+        assert list(got) == differ
+        assert got == {t: expected[t] for t in differ}
+        assert all(ok for t, ok in expected.items() if t not in got)
 
 
 # ------------------------------------------------------------------ the equivalence
