@@ -15,8 +15,7 @@ import sys
 from pathlib import Path
 
 from . import magma
-from .confluence import (essential_critical_pairs, is_confluent, newman_check,
-                         PairClass)
+from .confluence import PairClass, _classified, is_confluent, newman_check
 from .monoid import (PartialMonoid, ParseError, is_catenary, parse_monoid,
                      random_monoid, validate)
 from .rewriting import convertible_bounded, lstd, lstd_trace, normal_forms
@@ -144,26 +143,28 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_critical_pairs(args) -> int:
+    """One line, or one JSON array element, per fork as the walk yields it."""
     m = _load_valid(args.file)
-    triples = essential_critical_pairs(m)
     counts = {k.value: 0 for k in PairClass}
-    for t in triples:
-        counts[t.kind.value] += 1
     names = m.elements
+    write = sys.stdout.write
     if args.json:
-        print(json.dumps({
-            "triples": [
-                {"x": names[t.x], "y": names[t.y], "z": names[t.z],
-                 "a": names[t.a], "b": names[t.b], "class": t.kind.value}
-                for t in triples],
-            "counts": counts,
-        }))
+        write('{"triples": [')
+        sep = ""
+        for x, y, z, a, b, kind in _classified(m):
+            counts[kind.value] += 1
+            write(sep + json.dumps({"x": names[x], "y": names[y], "z": names[z],
+                                    "a": names[a], "b": names[b],
+                                    "class": kind.value}))
+            sep = ", "
+        write(f'], "counts": {json.dumps(counts)}}}\n')
     else:
-        print("x y z a b class")
-        for t in triples:
-            print(f"{names[t.x]} {names[t.y]} {names[t.z]} "
-                  f"{names[t.a]} {names[t.b]} {t.kind.value}")
-        print(f"counts: A0={counts['A0']} A1={counts['A1']} B={counts['B']}")
+        write("x y z a b class\n")
+        for x, y, z, a, b, kind in _classified(m):
+            counts[kind.value] += 1
+            write(f"{names[x]} {names[y]} {names[z]} "
+                  f"{names[a]} {names[b]} {kind.value}\n")
+        write(f"counts: A0={counts['A0']} A1={counts['A1']} B={counts['B']}\n")
     return EXIT_OK
 
 

@@ -52,13 +52,16 @@ class PartialMonoid:
     """Immutable finite partial monoid over interned element indices.
 
     ``rows`` is the compiled table: ``rows[x][y]`` is x*y, or None where
-    the product is undefined.  ``products`` is the canonical sorted tuple
-    of (x, y, x*y) triples read off it, identity rows included.
+    the product is undefined.  ``right[y]`` is the bit mask of y's right
+    partners: bit z is set exactly where y*z is defined.  ``products`` is
+    the canonical sorted tuple of (x, y, x*y) triples read off ``rows``,
+    identity rows included.
     Construction checks structural invariants only; the chain law is the
     job of :func:`validate`.
     """
 
-    __slots__ = ("elements", "identity", "products", "rows", "_index", "_facts")
+    __slots__ = ("elements", "identity", "products", "rows", "right", "_index",
+                 "_facts")
 
     def __init__(self, elements: Iterable[str], identity: int,
                  products: Mapping[tuple[int, int], int]):
@@ -96,6 +99,8 @@ class PartialMonoid:
         self.elements = elements
         self.identity = identity
         self.rows = tuple(tuple(row) for row in rows)
+        self.right = tuple(sum(1 << z for z, c in enumerate(row) if c is not None)
+                           for row in rows)
         self.products = tuple((x, y, z) for x, row in enumerate(rows)
                               for y, z in enumerate(row) if z is not None)
         self._index = {name: i for i, name in enumerate(elements)}
@@ -266,13 +271,9 @@ def validate(m: PartialMonoid) -> ValidationReport:
     every (x, y), and only the rows that differ are walked in z to list
     the violations.
     """
-    rows = m.rows
-    n = len(rows)
+    n = len(m.rows)
     zero = n
-    T = [tuple(zero if z is None else z for z in row) + (zero,) for row in rows]
-    T.append((zero,) * (n + 1))
-    # times[y](T[x]) is the row of x*(y*z) over z; T[T[x][y]] is (x*y)*z
-    times = [itemgetter(*row) for row in T]
+    T, times = totalized(m)
 
     if all(T[T[x][y]] == times[y](T[x]) for y in _generators(T, m.identity)
            for x in range(n)):
@@ -310,6 +311,19 @@ def validate(m: PartialMonoid) -> ValidationReport:
     return ValidationReport(tuple(viols))
 
 
+def totalized(m: PartialMonoid) -> tuple[list[tuple[int, ...]], list[itemgetter]]:
+    """The totalized table T, zero last, and its row maps.
+
+    T[x][y] is x*y, or the zero n where it is undefined; the zero
+    absorbs everything.  ``times[y](T[x])`` is the row of x*(y*z) over
+    every z, to be compared with the row ``T[T[x][y]]`` of (x*y)*z.
+    """
+    n = len(m.rows)
+    T = [tuple(n if z is None else z for z in row) + (n,) for row in m.rows]
+    T.append((n,) * (n + 1))
+    return T, [itemgetter(*row) for row in T]
+
+
 def _generators(T: list[tuple[int, ...]], identity: int) -> list[int]:
     """A greedy generating set of the totalized table T (zero last).
 
@@ -340,16 +354,12 @@ def _generators(T: list[tuple[int, ...]], identity: int) -> list[int]:
 
 # ------------------------------------------------------------------ structure probes
 
-def forks(m: PartialMonoid) -> Iterator[tuple[int, int, int, int, int]]:
-    """Every fork (x, y, z, x*y, y*z): x*y and y*z both defined.
-
-    Yields in (x, y, z) index order, because ``products`` is sorted:
-    each defined pair (x, y), then the right partners z of y in ``rows``.
-    """
-    right = [[(z, b) for z, b in enumerate(row) if b is not None] for row in m.rows]
-    for x, y, a in m.products:
-        for z, b in right[y]:
-            yield x, y, z, a, b
+def set_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def is_catenary(m: PartialMonoid) -> tuple[bool, Optional[tuple[int, int, int]]]:
@@ -358,11 +368,17 @@ def is_catenary(m: PartialMonoid) -> tuple[bool, Optional[tuple[int, int, int]]]
     Catenary: whenever x*y and y*z are defined with y not the identity,
     (x*y)*z is defined too.  Returns (True, None) or (False, witness),
     the witness being the first such fork in (x, y, z) order.
-    Assumes m validates.
+
+    The forks (x, y, z) with (x*y)*z undefined are the set bits z of
+    ``right[y] & ~right[x*y]``, so the first one is the lowest bit of
+    the first nonzero mask in ``products`` order.
     """
-    for x, y, z, a, _ in forks(m):
-        if y != m.identity and m.rows[a][z] is None:
-            return False, (x, y, z)
+    right, identity = m.right, m.identity
+    for x, y, a in m.products:
+        if y != identity:
+            stuck = right[y] & ~right[a]
+            if stuck:
+                return False, (x, y, (stuck & -stuck).bit_length() - 1)
     return True, None
 
 

@@ -134,14 +134,19 @@ def left_standard_successors(m: PartialMonoid, w: Word) -> set[Word]:
 
 
 def lstd(m: PartialMonoid, w: Word) -> Word:
-    """The left standard normal form.
+    """The left standard normal form."""
+    check_word(m, w)
+    return _lstd(m, w)
+
+
+def _lstd(m: PartialMonoid, w: Word) -> Word:
+    """lstd of a word already known to be in range.
 
     Single left-to-right pass: keep the already-irreducible prefix on a
     stack; an incoming letter merges with the stack top while products
     are defined, and a merge to the identity drops both letters.  This
     is exactly iterated left_standard_step, without the rescans.
     """
-    check_word(m, w)
     identity, rows = m.identity, m.rows
     stack: list[int] = []
     for cur in w:

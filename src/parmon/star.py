@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .monoid import PartialMonoid
-from .rewriting import convertible_bounded, lstd
+from .rewriting import _lstd, convertible_bounded
 from .words import Word, enumerate_irreducible, is_irreducible
 
 
@@ -33,7 +33,7 @@ def star(m: PartialMonoid, u: Word, v: Word) -> Word:
         raise ValueError("left factor is not irreducible")
     if not is_irreducible(m, v):
         raise ValueError("right factor is not irreducible")
-    return lstd(m, u + v)
+    return _lstd(m, u + v)
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,10 @@ def associativity_search(m: PartialMonoid, max_len: int,
     first counterexample is deterministic.  With find_all every failing
     triple is collected instead of stopping at the first.
 
-    Every word here is irreducible, so star is lstd without its checks;
-    lstd(lstd(s) + t) = lstd(s + t) makes (u*v)*w just lstd(u + v + w).
+    Every word here is an irreducible word the search built itself, so
+    star is the stack pass of lstd without any of its checks, the range
+    check included; lstd(lstd(s) + t) = lstd(s + t) makes (u*v)*w just
+    lstd(u + v + w).
     By the bracketing law only the (v, w) whose boundary letters compose
     can fail, so just those pairs are visited, each lstd(v + w) computed
     once.
@@ -75,13 +77,13 @@ def associativity_search(m: PartialMonoid, max_len: int,
     irr = enumerate_irreducible(m, max_len)
     rows = m.rows
     # product order on the pairs, with u outside, is enumeration order
-    pairs = [(v, w, lstd(m, v + w)) for v, w in itertools.product(irr, repeat=2)
+    pairs = [(v, w, _lstd(m, v + w)) for v, w in itertools.product(irr, repeat=2)
              if v and w and rows[v[-1]][w[0]] is not None]
     found = []
     for u in irr:
         for v, w, vw in pairs:
-            left = lstd(m, u + v + w)
-            right = lstd(m, u + vw)
+            left = _lstd(m, u + v + w)
+            right = _lstd(m, u + vw)
             if left != right:
                 found.append(AssocCounterexample(u, v, w, left, right))
                 if not find_all:

@@ -230,6 +230,42 @@ def test_critical_pairs_letters3_json(capsys):
 
 
 
+def _critical_pairs_in_one_piece(m, as_json):
+    """The critical-pairs output rendered from the whole fork list at once."""
+    triples = parmon.essential_critical_pairs(m)
+    counts = {k.value: 0 for k in parmon.PairClass}
+    for t in triples:
+        counts[t.kind.value] += 1
+    names = m.elements
+    if as_json:
+        return json.dumps({
+            "triples": [
+                {"x": names[t.x], "y": names[t.y], "z": names[t.z],
+                 "a": names[t.a], "b": names[t.b], "class": t.kind.value}
+                for t in triples],
+            "counts": counts,
+        }) + "\n"
+    lines = ["x y z a b class"]
+    lines += [f"{names[t.x]} {names[t.y]} {names[t.z]} "
+              f"{names[t.a]} {names[t.b]} {t.kind.value}" for t in triples]
+    lines.append(f"counts: A0={counts['A0']} A1={counts['A1']} B={counts['B']}")
+    return "\n".join(lines) + "\n"
+
+
+def test_critical_pairs_stream_equals_one_piece(capsys, tmp_path):
+    seeded = parmon.random_monoid(random.Random(5), 12)
+    kinds = {t.kind for t in parmon.essential_critical_pairs(seeded)}
+    assert kinds == set(parmon.PairClass)
+    path = tmp_path / "seeded.monoid"
+    path.write_text(parmon.serialize_monoid(seeded), encoding="utf-8")
+    for file in (EX2, LETTERS3, str(path)):
+        m = parmon.parse_monoid(Path(file).read_text(encoding="utf-8"))
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, "critical-pairs", file, *flags)
+            assert (code, err) == (0, "")
+            assert out == _critical_pairs_in_one_piece(m, bool(flags))
+
+
 # ------------------------------------------------------------------ golden output
 
 GOLDEN = ROOT / "tests" / "golden"

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmon as P
-from oracles import apply_rule, brute_classify, generic_critical_pairs
+from oracles import (apply_rule, brute_catenary, brute_classify,
+                     generic_critical_pairs)
 
 
 def classes(triples):
@@ -259,23 +260,86 @@ def test_newman_matches_generic_pairs(ex2, letters3, du2, sample_tables):
     assert answers == {True, False}
 
 
-def test_newman_stops_at_first_failing_pair(letters3, monkeypatch):
-    # each word's normal forms once, in pair order, up to the first
-    # pair that does not converge and no further
-    pairs = [cp.pair for cp in generic_critical_pairs(letters3)]
-    first = next(i for i, (u, v) in enumerate(pairs)
-                 if not P.normal_forms(letters3, u) & P.normal_forms(letters3, v))
-    needed = list(dict.fromkeys(w for pair in pairs[:first + 1] for w in pair))
-    assert len(needed) < len({w for pair in pairs for w in pair})
+def _normal_forms_wanted(m):
+    """The words whose normal forms newman_check should compute, in order.
+
+    An overlap pair whose sides contract in one step to the same letter
+    converges without them; the rest go in pair order, each word once,
+    up to the first pair that does not converge and no further.
+    """
+    wanted = []
+    for cp in generic_critical_pairs(m):
+        if cp.kind != "overlap":
+            continue
+        u, v = cp.pair
+        if m.mul(*u) is not None and m.mul(*u) == m.mul(*v):
+            continue
+        for w in (u, v):
+            if w not in wanted:
+                wanted.append(w)
+        if not P.normal_forms(m, u) & P.normal_forms(m, v):
+            break
+    return wanted
+
+
+def _newman_calls(m, monkeypatch):
     calls = []
 
     def counting(m, w):
         calls.append(w)
         return P.normal_forms(m, w)
 
-    monkeypatch.setattr("parmon.confluence.normal_forms", counting)
-    assert not P.newman_check(letters3)
-    assert calls == needed
+    with monkeypatch.context() as patch:
+        patch.setattr("parmon.confluence.normal_forms", counting)
+        verdict = P.newman_check(m)
+    return verdict, calls
+
+
+def test_newman_stops_at_first_failing_pair(letters3, monkeypatch):
+    # the pairs that are not one-step joinable, in pair order, up to the
+    # first pair that does not converge and no further
+    needed = _normal_forms_wanted(letters3)
+    overlaps = [cp.pair for cp in generic_critical_pairs(letters3)
+                if cp.kind == "overlap"]
+    assert 0 < len(needed) < len({w for pair in overlaps for w in pair})
+    assert _newman_calls(letters3, monkeypatch) == (False, needed)
+
+
+def test_newman_one_step_pretest_skips_normal_forms(group2, monkeypatch):
+    # in a group every fork is B: each pair contracts in one step to the
+    # same letter, so no normal forms are needed at all
+    cyc8 = P.PartialMonoid([f"g{i}" for i in range(8)], 0,
+                           {(i, j): (i + j) % 8 for i in range(8) for j in range(8)})
+    for m in (group2, cyc8):
+        assert _newman_calls(m, monkeypatch) == (True, [])
+
+
+def test_newman_normal_forms_calls_on_samples(ex2, sample_tables, monkeypatch):
+    # invalid tables take the per-pair test instead of the row comparison
+    for m in (ex2, *sample_tables):
+        _, calls = _newman_calls(m, monkeypatch)
+        assert calls == _normal_forms_wanted(m)
+
+
+def test_mask_walks_match_the_oracles(sample_tables):
+    # every verdict read off the right-partner masks, against the brute
+    # force references, on invalid mutants and on larger random tables
+    rng = random.Random(12)
+    tables = [*sample_tables, *(P.random_monoid(rng, 12) for _ in range(300))]
+    verdicts = set()
+    for m in tables:
+        a0 = [f for f in brute_classify(m) if f[5] == "A0"]
+        assert [(t.x, t.y, t.z, t.a, t.b, t.kind.value)
+                for t in P.is_confluent(m).a0_witnesses] == a0
+        witness = brute_catenary(m)
+        assert P.is_catenary(m) == (witness is None, witness)
+        converges = all(P.normal_forms(m, u) & P.normal_forms(m, v)
+                        for u, v in (cp.pair for cp in generic_critical_pairs(m)))
+        assert P.newman_check(m) == converges
+        verdicts.add((not a0, witness is None, converges))
+    assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {True, False}
+    assert {v[2] for v in verdicts} == {True, False}
+
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))

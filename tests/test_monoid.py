@@ -296,6 +296,16 @@ def test_total_associativity_oracle_flags_same_triples():
 
 # ------------------------------------------------------------------ probes
 
+def test_right_masks_are_the_defined_entries(ex2, letters3, trivial,
+                                             sample_tables):
+    for m in (ex2, letters3, trivial, *sample_tables):
+        assert len(m.right) == m.size
+        for y, row in enumerate(m.rows):
+            assert m.right[y] >> m.size == 0
+            assert ({z for z in range(m.size) if m.right[y] >> z & 1}
+                    == {z for z, c in enumerate(row) if c is not None})
+
+
 def test_catenary_fixtures(ex2, letters3, group2, trivial):
     ok, witness = P.is_catenary(ex2)
     assert not ok
