@@ -18,7 +18,7 @@ from . import magma
 from .confluence import PairClass, _classified, is_confluent, newman_check
 from .monoid import (PartialMonoid, ParseError, is_catenary, parse_monoid,
                      random_monoid, validate)
-from .rewriting import convertible_bounded, lstd, lstd_trace, normal_forms
+from .rewriting import lstd, lstd_trace, normal_forms
 from .star import associativity_search, star
 from .words import Word, format_word, parse_word
 
@@ -229,8 +229,7 @@ def cmd_magma_demo(args) -> int:
     comb = magma.right_comb(t)
     evaluation = magma.evaluate(m, t)
     comb_eval = magma.evaluate(m, comb)
-    cap = sum(len(label) for label in magma.leaf_labels(t))
-    convertible = convertible_bounded(m, evaluation, comb_eval, cap) is not None
+    convertible = magma._convertible(m, t, comb, evaluation, comb_eval)
     successors = sorted(magma.format_tree(m, s) for s in magma.rotations(t))
     if args.json:
         print(json.dumps({

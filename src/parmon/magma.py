@@ -11,16 +11,17 @@ strictly decreases the rank
 so rewriting terminates, and the rank-zero trees are exactly the right
 combs.  Evaluating a tree multiplies the leaf labels with the star
 product in the tree's bracketing; rotating a tree keeps the evaluation
-inside one convertibility class even when star is not associative.
+inside one convertibility class even when star is not associative,
+as _chain's reductions from the leaf concatenation show, with no search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .monoid import EMPTY_WORD_TOKEN, PartialMonoid
-from .rewriting import convertible_bounded, lstd
+from .rewriting import _apply, _lstd_moves, _steps, lstd
 from .words import Word, format_word, is_irreducible
 
 
@@ -59,15 +60,16 @@ def rank(t: Tree) -> int:
 
 
 def rotations(t: Tree) -> set[Tree]:
-    """All trees one rotation away."""
-    if isinstance(t, Leaf):
-        return set()
-    out = set()
-    if isinstance(t.left, Node):
-        out.add(Node(t.left.left, Node(t.left.right, t.right)))
-    out.update(Node(l, t.right) for l in rotations(t.left))
-    out.update(Node(t.left, r) for r in rotations(t.right))
-    return out
+    """All trees one rotation away, each hashed once: a Node hashes its subtree."""
+    return set(_rotated(t))
+
+
+def _rotated(t: Tree) -> Iterator[Tree]:
+    if isinstance(t, Node):
+        if isinstance(t.left, Node):
+            yield Node(t.left.left, Node(t.left.right, t.right))
+        yield from (Node(l, t.right) for l in _rotated(t.left))
+        yield from (Node(t.left, r) for r in _rotated(t.right))
 
 
 def rotation_closure(t: Tree) -> set[Tree]:
@@ -112,19 +114,47 @@ def _join(m: PartialMonoid, t: Tree) -> Word:
     return lstd(m, _join(m, t.left) + _join(m, t.right))
 
 
+def _chain(m: PartialMonoid, t: Tree) -> list[Word]:
+    """The words of a plain reduction from t's leaf concatenation to _join(m, t).
+
+    Reduction is compatible with concatenation, so the left half's chain
+    followed by the right half's, each lifted into the whole word, ends
+    at the two results side by side; the join's recorded steps finish it.
+    """
+    if isinstance(t, Leaf):
+        return [t.label]
+    left, right = _chain(m, t.left), _chain(m, t.right)
+    chain = [u + right[0] for u in left] + [left[-1] + u for u in right[1:]]
+    for i, z in _lstd_moves(m, chain[-1]):
+        chain.append(_apply(chain[-1], i, z))
+    return chain
+
+
+def _convertible(m: PartialMonoid, s: Tree, t: Tree,
+                 s_eval: Word, t_eval: Word) -> bool:
+    """Certify that s_eval and t_eval, the evaluations of s and t, convert.
+
+    Unless the words are equal, both chains must start at one word, end
+    at the evaluations and move by plain steps: up one, down the other.
+    """
+    if s_eval == t_eval:
+        return True
+    down, up = _chain(m, s), _chain(m, t)
+    return (down[0] == up[0] and down[-1] == s_eval and up[-1] == t_eval
+            and all(q in {r for _, r in _steps(m, p)}
+                    for chain in (down, up) for p, q in zip(chain, chain[1:])))
+
+
 def verify_rotation_invariance(m: PartialMonoid, t: Tree) -> bool:
     """Are the evaluations of all rotations of t interconvertible?
 
-    Each comparison searches for a conversion capped at the combined
-    letter count of the leaf labels; every bracketing evaluates inside
-    that length.  Rotations keep the leaf sequence, so the labels are
-    checked once, on t.
+    Each closure tree whose evaluation differs from t's is certified
+    against t by _convertible, not searched.  Rotations keep the leaf
+    sequence, so the labels are checked once, on t.
     """
-    cap = sum(len(label) for label in leaf_labels(t))
     base = evaluate(m, t)
-    return all(
-        convertible_bounded(m, base, _join(m, s), cap) is not None
-        for s in rotation_closure(t))
+    return all(_convertible(m, t, s, base, _join(m, s))
+               for s in rotation_closure(t))
 
 
 # ------------------------------------------------------------------ text form

@@ -13,6 +13,8 @@ freshly produced letter is erased in the same move; the chain law forces
 the prefix left of such a pair to be empty.  The strategy reaches a
 unique normal form, written lstd, and each of its moves is one or two
 plain reduction steps, so lstd(w) is always one of w's normal forms.
+One stack pass computes it; _lstd_moves is that pass recording its plain
+steps, which lstd_trace and the conversions of parmon.magma read.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .monoid import PartialMonoid
-from .words import Word, check_word, is_irreducible
+from .words import Word, check_word
 
 
 def _steps(m: PartialMonoid, w: Word) -> Iterator[tuple[int, Word]]:
@@ -77,62 +79,6 @@ def normal_forms(m: PartialMonoid, w: Word) -> frozenset[Word]:
     return frozenset(forms)
 
 
-@dataclass(frozen=True)
-class LstdDecomposition:
-    """w = u + (x, y) + v with u + (x,) the longest irreducible prefix.
-
-    Equivalently (x, y) is the leftmost adjacent defined pair.  Only
-    identity-free reducible words decompose.
-    """
-
-    u: Word
-    x: int
-    y: int
-    v: Word
-
-    @property
-    def max_irreducible_prefix(self) -> Word:
-        return self.u + (self.x,)
-
-
-def left_standard_decomposition(m: PartialMonoid, w: Word) -> LstdDecomposition:
-    check_word(m, w)
-    if m.identity in w:
-        raise ValueError("word contains the identity letter")
-    for i in range(len(w) - 1):
-        if m.rows[w[i]][w[i + 1]] is not None:
-            return LstdDecomposition(w[:i], w[i], w[i + 1], w[i + 2:])
-    raise ValueError("word is irreducible, nothing to decompose")
-
-
-def left_standard_step(m: PartialMonoid, w: Word) -> Word:
-    """One move of the deterministic left standard schedule."""
-    check_word(m, w)
-    for i, c in enumerate(w):
-        if c == m.identity:
-            return w[:i] + w[i + 1:]
-    d = left_standard_decomposition(m, w)
-    z = m.rows[d.x][d.y]
-    if z == m.identity:
-        return d.u + d.v  # annihilating pair; the chain law gives u = ()
-    return d.u + (z,) + d.v
-
-
-def left_standard_successors(m: PartialMonoid, w: Word) -> set[Word]:
-    """The one-step left standard relation, identity erasure at any position.
-
-    On words with identity letters: every single erasure.  On
-    identity-free reducible words: the single leftmost contraction.
-    The deterministic schedule always picks one of these.
-    """
-    check_word(m, w)
-    if m.identity in w:
-        return {w[:i] + w[i + 1:] for i, c in enumerate(w) if c == m.identity}
-    if is_irreducible(m, w):
-        return set()
-    return {left_standard_step(m, w)}
-
-
 def lstd(m: PartialMonoid, w: Word) -> Word:
     """The left standard normal form."""
     check_word(m, w)
@@ -145,7 +91,7 @@ def _lstd(m: PartialMonoid, w: Word) -> Word:
     Single left-to-right pass: keep the already-irreducible prefix on a
     stack; an incoming letter merges with the stack top while products
     are defined, and a merge to the identity drops both letters.  This
-    is exactly iterated left_standard_step, without the rescans.
+    is exactly the left standard schedule, without its rescans.
     """
     identity, rows = m.identity, m.rows
     stack: list[int] = []
@@ -158,6 +104,35 @@ def _lstd(m: PartialMonoid, w: Word) -> Word:
             stack.pop()
             cur = z
     return tuple(stack)
+
+
+def _lstd_moves(m: PartialMonoid, w: Word) -> Iterator[tuple[int, Optional[int]]]:
+    """_lstd's stack pass on a checked word, yielding each plain step.
+
+    A step (i, z) contracts the letters at i and i + 1 to z, or erases
+    the letter at i when z is None.  The word is the stack, the incoming
+    letter and the unread rest, so a contraction with the stack top sits
+    at len(stack) - 1 and an incoming identity letter is erased at
+    len(stack): an annihilating pair is two steps.
+    """
+    identity, rows = m.identity, m.rows
+    stack: list[int] = []
+    for cur in w:
+        while cur != identity:
+            z = rows[stack[-1]][cur] if stack else None
+            if z is None:
+                stack.append(cur)
+                break
+            stack.pop()
+            cur = z
+            yield len(stack), z
+        else:
+            yield len(stack), None
+
+
+def _apply(w: Word, i: int, z: Optional[int]) -> Word:
+    """The word that the step (i, z) of _lstd_moves makes of w."""
+    return w[:i] + w[i + 1:] if z is None else w[:i] + (z,) + w[i + 2:]
 
 
 @dataclass(frozen=True)
@@ -183,27 +158,24 @@ class ReductionTrace:
 def lstd_trace(m: PartialMonoid, w: Word) -> ReductionTrace:
     """lstd with bookkeeping: identity erasures first, then contractions."""
     check_word(m, w)
+    identity, name = m.identity, m.name
     steps = []
     cur = w
-    while True:
-        if m.identity in cur:
-            pos = cur.index(m.identity)
-            rule = f"{m.name(m.identity)} -> eps"
-        else:
-            try:
-                d = left_standard_decomposition(m, cur)
-            except ValueError:
-                break
-            pos = len(d.u)
-            z = m.rows[d.x][d.y]
-            rhs = "eps" if z == m.identity else m.name(z)
-            rule = f"{m.name(d.x)} {m.name(d.y)} -> {rhs}"
-        nxt = left_standard_step(m, cur)
-        steps.append(TraceStep(cur, rule, pos, nxt))
+    while identity in cur:
+        i = cur.index(identity)
+        nxt = _apply(cur, i, None)
+        steps.append(TraceStep(cur, f"{name(identity)} -> eps", i, nxt))
         cur = nxt
-    trace = ReductionTrace(w, tuple(steps))
-    assert trace.result == lstd(m, w)
-    return trace
+    moves = _lstd_moves(m, cur)
+    for i, z in moves:
+        nxt = _apply(cur, i, z)
+        if z == identity:  # the pair annihilates: its erasure is this move too
+            nxt = _apply(nxt, *next(moves))
+        rhs = "eps" if z == identity else name(z)
+        steps.append(TraceStep(cur, f"{name(cur[i])} {name(cur[i + 1])} -> {rhs}",
+                               i, nxt))
+        cur = nxt
+    return ReductionTrace(w, tuple(steps))
 
 
 # ------------------------------------------------------------------ convertibility

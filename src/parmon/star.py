@@ -4,8 +4,8 @@ Concatenate, then take the left standard normal form.  On a confluent
 system this product is associative and turns the irreducible words into
 a monoid isomorphic to the quotient of all words by convertibility; on
 a non-confluent system associativity already fails on one-letter words
-drawn from any A0 fork.  Either way each bracketing of u, v, w stays
-convertible to the plain concatenation, so associativity always holds
+drawn from any A0 fork.  Either way each bracketing of u, v, w is a
+reduct of the plain concatenation, so associativity always holds
 modulo convertibility; assoc_modulo_congruence checks that on the
 counterexamples alone, since every other triple has equal bracketings.
 
@@ -22,8 +22,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from .magma import Leaf, Node, _convertible
 from .monoid import PartialMonoid
-from .rewriting import _lstd, convertible_bounded
+from .rewriting import _lstd
 from .words import Word, enumerate_irreducible, is_irreducible
 
 
@@ -97,13 +98,12 @@ def assoc_modulo_congruence(m: PartialMonoid, max_len: int
 
     The keys are the counterexamples of associativity_search(m, max_len,
     find_all=True), in its order; every other irreducible triple has
-    equal bracketings and needs no search.  Each search is capped at the
-    triple's combined letter count; the conversion through the plain
-    concatenation fits under that cap, so on a valid monoid every value
-    should come back True.  False records a search that found nothing
-    within the bound.
+    equal bracketings and needs no check.  Each value certifies, with
+    parmon.magma's chains of ((u v) w) and (u (v w)), a conversion
+    through u + v + w; that holds on every table.
     """
     report = associativity_search(m, max_len, find_all=True)
-    return {(c.u, c.v, c.w): convertible_bounded(
-                m, c.left, c.right, len(c.u) + len(c.v) + len(c.w)) is not None
+    return {(c.u, c.v, c.w): _convertible(
+                m, Node(Node(Leaf(c.u), Leaf(c.v)), Leaf(c.w)),
+                Node(Leaf(c.u), Node(Leaf(c.v), Leaf(c.w))), c.left, c.right)
             for c in report.counterexamples}

@@ -180,6 +180,45 @@ def brute_reachable(m, w):
     return seen
 
 
+# ------------------------------------------------------------------ the left standard schedule
+
+def _schedule_step(t, e, w):
+    """One schedule move on w, or None when w is irreducible."""
+    if e in w:
+        i = w.index(e)
+        return w[:i] + w[i + 1:]
+    for i in range(len(w) - 1):
+        if (w[i], w[i + 1]) in t:
+            z = t[(w[i], w[i + 1])]
+            return w[:i] + w[i + 2:] if z == e else w[:i] + (z,) + w[i + 2:]
+    return None
+
+
+def iterated_left_standard(m, w):
+    """The left standard schedule spelled out one move at a time.
+
+    The leftmost identity letter erases first; otherwise the leftmost
+    defined pair contracts, and a pair whose product is the identity
+    vanishes in the same move.  The reference lstd is compared against.
+    """
+    t = table_of(m)
+    while (nxt := _schedule_step(t, m.identity, w)) is not None:
+        w = nxt
+    return w
+
+
+def left_standard_successors(m, w):
+    """The one-step left standard relation, identity erasure at any position.
+
+    On words with identity letters: every single erasure.  Otherwise
+    the schedule's one move, or nothing on an irreducible word.
+    """
+    if m.identity in w:
+        return {w[:i] + w[i + 1:] for i, c in enumerate(w) if c == m.identity}
+    nxt = _schedule_step(table_of(m), m.identity, w)
+    return set() if nxt is None else {nxt}
+
+
 # ------------------------------------------------------------------ critical pairs
 
 @dataclass(frozen=True)

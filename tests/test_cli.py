@@ -291,6 +291,28 @@ def test_golden_output(capsys, fixture, argv, slug):
     assert code == (cli.EXIT_NEGATIVE if negative else cli.EXIT_OK)
 
 
+IDENTITY_WORDS = {"ex2": "1 x 1 y y 1 z 1", "letters3": "1 a b 1 c a 1 b a 1"}
+TREE12 = "((b (b b)) ((((a ((b b) c)) (c b)) (c a)) c))"
+
+
+@pytest.mark.parametrize("fixture, argv, slug", [
+    (fixture, ["normalize", *IDENTITY_WORDS[fixture].split(), "--trace", *json],
+     "normalize-trace" + slug)
+    for fixture in ("ex2", "letters3")
+    for json, slug in (([], ""), (["--json"], "-json"))
+] + [
+    ("letters3", ["magma-demo", TREE12, *json], "magma-demo" + slug)
+    for json, slug in (([], ""), (["--json"], "-json"))
+])
+def test_golden_trace_and_magma_demo(capsys, fixture, argv, slug):
+    # identity letters in several positions; a 12-leaf tree whose
+    # evaluation differs from its right comb's
+    path = str(FIXTURES / f"{fixture}.monoid")
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    expected = (GOLDEN / f"{fixture}.{slug}.txt").read_text(encoding="utf-8")
+    assert (code, out, err) == (cli.EXIT_OK, expected, "")
+
+
 # ------------------------------------------------------------------ star
 
 def test_star(capsys):
@@ -461,6 +483,29 @@ def test_magma_demo_wide_tree(capsys):
     assert code == 1
     assert out == ""
     assert err == f"error: tree has more than {parmon.magma.MAX_TREE_DEPTH + 1} leaves\n"
+
+
+# a random 40-leaf tree, random.Random(1) splitting uniformly and drawing
+# leaves from a b c; a bounded conversion search did not finish on it
+SEED1_TREE40 = (
+    "(((a b) (((a a) (a b)) ((c b) b))) ((((b (a (c (b c)))) (b (c a))) "
+    "(((((b (c a)) b) ((b c) (a c))) ((c (c c)) (c c))) (b (c b)))) "
+    "((((b (c b)) b) c) (b c))))")
+
+
+def test_magma_demo_large_trees(capsys):
+    # the conversion is read off the reductions, so large trees answer
+    # at once: the 40-leaf tree and the left comb at the leaf bound
+    left_comb = "a"
+    for i in range(parmon.magma.MAX_TREE_DEPTH):
+        left_comb = f"({left_comb} {'abcba'[(i + 1) % 5]})"
+    for tree in (SEED1_TREE40, left_comb):
+        code, out, err = run(capsys, "magma-demo", LETTERS3, tree)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[-1] == "convertible: yes"
+        evaluation, comb = lines[-3], lines[-2]
+        assert evaluation.split(": ")[1] != comb.split(": ")[1]
 
 
 # ------------------------------------------------------------------ random-check

@@ -27,6 +27,13 @@ def leaf_trees(m, letters, n):
         yield from all_shapes([(c,) for c in seq])
 
 
+def trees_up_to(labels, n):
+    """Every tree of 1 to n leaves, each leaf labelled by one of labels."""
+    for k in range(1, n + 1):
+        for seq in itertools.product(labels, repeat=k):
+            yield from all_shapes(list(seq))
+
+
 @pytest.fixture(scope="module")
 def pentagon(letters3):
     return P.parse_tree(letters3, "(((a b) c) a)")
@@ -207,6 +214,64 @@ def test_rotation_invariance_rejects_bad_leaf_labels(ex2):
                 P.verify_rotation_invariance(ex2, t)
     with pytest.raises(ValueError, match="unknown element index"):
         P.verify_rotation_invariance(ex2, P.Node(P.Leaf((x,)), P.Leaf((4,))))
+
+
+# ------------------------------------------------------------------ certificates
+
+def assert_chain(m, t):
+    """t's chain steps from its leaf concatenation down to its evaluation."""
+    chain = P.magma._chain(m, t)
+    assert chain[0] == sum(P.leaf_labels(t), ())
+    assert chain[-1] == P.evaluate(m, t)
+    for p, q in zip(chain, chain[1:]):
+        assert q in {r for _, r in P.one_step_reductions(m, p)}
+
+
+@pytest.fixture(scope="module")
+def certificate_cases(ex2, letters3, group2, sample_tables):
+    """(table, trees): up to 5 leaves over the fixtures, up to 3 or 4 over
+    each sample table, mutants included."""
+    abc = [(letters3.index(n),) for n in "abc"]
+    cases = [(ex2, trees_up_to([(c,) for c in ex2.non_identity()], 5)),
+             (letters3, trees_up_to(abc, 5)),
+             (group2, trees_up_to([(group2.index("g"),), ()], 5))]
+    cases += [(m, trees_up_to([(c,) for c in m.non_identity()], 4 if m.size <= 4 else 3))
+              for m in sample_tables]
+    return [(m, list(trees)) for m, trees in cases]
+
+
+def test_chains_reduce_the_leaf_concatenation(certificate_cases):
+    # on invalid tables too: the argument never uses the chain law
+    for m, trees in certificate_cases:
+        for t in trees:
+            assert_chain(m, t)
+
+
+def test_certificates_agree_with_the_search(certificate_cases):
+    # a tree against its right comb: wherever the bounded search links
+    # the two evaluations, the certificate check passes, and both always
+    # do, since the conversion through the leaf concatenation fits the cap
+    differ = 0
+    for m, trees in certificate_cases:
+        for t in trees:
+            comb = P.right_comb(t)
+            u, v = P.evaluate(m, t), P.evaluate(m, comb)
+            cap = sum(len(label) for label in P.leaf_labels(t))
+            assert P.convertible_bounded(m, u, v, cap) is not None
+            assert P.magma._convertible(m, t, comb, u, v)
+            differ += u != v
+    assert differ > 0
+
+
+def test_certificates_refuse_broken_chains(letters3, pentagon, monkeypatch):
+    comb = P.right_comb(pentagon)
+    u, v = P.evaluate(letters3, pentagon), P.evaluate(letters3, comb)
+    assert u != v and P.magma._convertible(letters3, pentagon, comb, u, v)
+    # a chain ending elsewhere, or skipping a step, certifies nothing
+    assert not P.magma._convertible(letters3, pentagon, comb, u, u + v)
+    real = P.magma._chain
+    monkeypatch.setattr(P.magma, "_chain", lambda m, t: real(m, t)[::2] + real(m, t)[-1:])
+    assert not P.magma._convertible(letters3, pentagon, comb, u, v)
 
 
 # ------------------------------------------------------------------ text form

@@ -8,21 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import parmon as P
 from conftest import wrd
-from oracles import brute_normal_forms, brute_one_step, brute_reachable
+from oracles import (brute_normal_forms, brute_one_step, brute_reachable,
+                     iterated_left_standard, left_standard_successors)
 
 
 def all_words(m, max_len):
     for length in range(max_len + 1):
         yield from itertools.product(range(len(m.elements)), repeat=length)
-
-
-def iterated_left_standard(m, w):
-    """The schedule spelled out one move at a time, as an lstd cross-check."""
-    while True:
-        succ = P.left_standard_successors(m, w)
-        if not succ:
-            return w
-        w = P.left_standard_step(m, w)
 
 
 def is_conversion_path(m, path, u, v):
@@ -135,9 +127,6 @@ WORD_FUNCTIONS = {
     "is_irreducible": P.is_irreducible,
     "one_step_reductions": P.one_step_reductions,
     "normal_forms": P.normal_forms,
-    "left_standard_decomposition": P.left_standard_decomposition,
-    "left_standard_step": P.left_standard_step,
-    "left_standard_successors": P.left_standard_successors,
     "lstd_trace": P.lstd_trace,
     "expansions": lambda m, w: P.expansions(m, w, len(w) + 1),
     "convertible_bounded": lambda m, w: P.convertible_bounded(m, w, w),
@@ -160,46 +149,35 @@ def test_out_of_range_letters_raise(ex2, name):
 
 # ------------------------------------------------------------------ decomposition
 
-def test_left_standard_decomposition_example(ex2):
-    x, y, z = ex2.index("x"), ex2.index("y"), ex2.index("z")
-    d = P.left_standard_decomposition(ex2, (x, x, y, z))
-    assert d == P.LstdDecomposition((x,), x, y, (z,))
-    assert d.max_irreducible_prefix == (x, x)
-    assert P.is_irreducible(ex2, d.max_irreducible_prefix)
-    # and extending the prefix by y breaks irreducibility
-    assert not P.is_irreducible(ex2, d.max_irreducible_prefix + (y,))
-
-
-def test_left_standard_decomposition_errors(ex2):
-    with pytest.raises(ValueError, match="identity letter"):
-        P.left_standard_decomposition(ex2, (ex2.identity, ex2.index("y")))
-    with pytest.raises(ValueError, match="irreducible"):
-        P.left_standard_decomposition(ex2, wrd(ex2, "z y"))
-    with pytest.raises(ValueError, match="irreducible"):
-        P.left_standard_decomposition(ex2, ())
-
-
 def test_decomposition_finds_leftmost_pair(ex2, letters3, group2):
+    # a reducible identity-free word's first trace move contracts its
+    # leftmost defined pair, right after its longest irreducible prefix
+    x, y, z = ex2.index("x"), ex2.index("y"), ex2.index("z")
+    first = P.lstd_trace(ex2, (x, x, y, z)).steps[0]
+    assert (first.rule, first.position, first.result) == ("x y -> x", 1, (x, x, z))
     for m in (ex2, letters3, group2):
         for w in all_words(m, 5):
             if m.identity in w or P.is_irreducible(m, w):
                 continue
-            d = P.left_standard_decomposition(m, w)
-            i = len(d.u)
-            assert w == d.u + (d.x, d.y) + d.v
-            assert m.mul(d.x, d.y) is not None
-            assert all(m.mul(w[j], w[j + 1]) is None for j in range(i))
+            s = P.lstd_trace(m, w).steps[0]
+            i = s.position
+            assert s.source == w
+            assert m.mul(w[i], w[i + 1]) is not None
+            assert P.is_irreducible(m, w[:i + 1])
+            assert s.rule.startswith(f"{m.name(w[i])} {m.name(w[i + 1])} -> ")
 
 
 def test_annihilating_pair_forces_empty_prefix(group2, ex2):
-    # chain law: anything left of an annihilating pair would compose with it
+    # chain law: anything left of an annihilating pair would compose with
+    # it, so on a valid table an x y -> eps move sits at position 0
+    seen = 0
     for m in (group2, ex2):
         for w in all_words(m, 5):
-            if m.identity in w or P.is_irreducible(m, w):
-                continue
-            d = P.left_standard_decomposition(m, w)
-            if m.mul(d.x, d.y) == m.identity:
-                assert d.u == ()
+            for s in P.lstd_trace(m, w).steps:
+                if s.rule.endswith("-> eps") and len(s.rule.split()) == 4:
+                    assert s.position == 0
+                    seen += 1
+    assert seen > 0
 
 
 # ------------------------------------------------------------------ the schedule
@@ -207,35 +185,52 @@ def test_annihilating_pair_forces_empty_prefix(group2, ex2):
 def test_left_standard_step_phases(ex2):
     e, x, y, z = ex2.identity, ex2.index("x"), ex2.index("y"), ex2.index("z")
     # identity erasure first, leftmost identity first
-    assert P.left_standard_step(ex2, (x, e, y, e)) == (x, y, e)
+    t = P.lstd_trace(ex2, (x, e, y, e))
+    assert [(s.rule, s.position, s.result) for s in t.steps] == [
+        ("1 -> eps", 1, (x, y, e)), ("1 -> eps", 2, (x, y)), ("x y -> x", 0, (x,))]
     # then the leftmost contraction
-    assert P.left_standard_step(ex2, (x, y, y, z)) == (x, y, z)
+    assert P.lstd_trace(ex2, (x, y, y, z)).steps[0].result == (x, y, z)
 
 
 def test_left_standard_step_annihilation(group2):
     g = group2.index("g")
     # g g contracts to the identity which erases in the same move
-    assert P.left_standard_step(group2, (g, g)) == ()
-    assert P.left_standard_step(group2, (g, g, g)) == (g,)
-
-
-def test_left_standard_successors_shape(ex2, group2):
-    e, x, y = ex2.identity, ex2.index("x"), ex2.index("y")
-    assert P.left_standard_successors(ex2, (e, x, e)) == {(x, e), (e, x)}
-    assert P.left_standard_successors(ex2, (x, y)) == {(x,)}
-    assert P.left_standard_successors(ex2, (y, x)) == set()
-    assert P.left_standard_successors(group2, ()) == set()
+    for w, result in (((g, g), ()), ((g, g, g), (g,))):
+        t = P.lstd_trace(group2, w)
+        assert [(s.rule, s.position, s.result) for s in t.steps] == [
+            ("g g -> eps", 0, result)]
 
 
 def test_successors_are_a_subset_of_two_step_reduction(ex2, letters3, group2):
-    # every schedule move is one plain step, or two for an annihilation
+    # every schedule move is one plain step, or two for an annihilation:
+    # the reference relation's moves, and each move lstd_trace records
     for m in (ex2, letters3, group2):
         for w in all_words(m, 4):
             one = {r for _, r in P.one_step_reductions(m, w)}
             two = one | {r2 for u in one
                          for _, r2 in P.one_step_reductions(m, u)}
-            for s in P.left_standard_successors(m, w):
+            for s in left_standard_successors(m, w):
                 assert s in two
+            # the trace's later moves are the first moves of shorter words
+            for s in P.lstd_trace(m, w).steps[:1]:
+                annihilation = s.rule.endswith("-> eps") and len(s.rule.split()) == 4
+                assert s.result in (two if annihilation else one)
+
+
+def test_recorded_moves_are_plain_steps(ex2, letters3, group2, sample_tables):
+    # each move of the recorded stack pass is one plain step at its
+    # position, an annihilating pair two of them, and the replay ends at
+    # lstd; on every table, the chain law is never used
+    cases = [(ex2, 5), (letters3, 4), (group2, 6)]
+    cases += [(m, 4 if m.size <= 5 else 3) for m in sample_tables]
+    for m, L in cases:
+        for w in all_words(m, L):
+            word = w
+            for i, z in P.rewriting._lstd_moves(m, w):
+                nxt = P.rewriting._apply(word, i, z)
+                assert (i, nxt) in P.one_step_reductions(m, word)
+                word = nxt
+            assert word == P.lstd(m, w)
 
 
 def test_lstd_equals_iterated_schedule(ex2, letters3, group2, du2):
@@ -327,7 +322,7 @@ def test_schedule_closure_reaches_exactly_lstd(ex2, letters3, group2):
             while frontier:
                 nxt = []
                 for u in frontier:
-                    succ = P.left_standard_successors(m, u)
+                    succ = left_standard_successors(m, u)
                     if not succ:
                         terminal.add(u)
                     for s in succ:
