@@ -9,29 +9,26 @@ strictly decreases the rank
     rank(t1 t2) = rank(t1) + rank(t2) + leaves(t1) - 1
 
 so rewriting terminates, and the rank-zero trees are exactly the right
-combs.  Evaluating a tree multiplies the leaf labels with the star
-product in the tree's bracketing; rotating a tree keeps the evaluation
-inside one convertibility class even when star is not associative,
-as _chain's reductions from the leaf concatenation show, with no search.
+combs.  A tree's evaluation, its leaf labels multiplied with star in
+its bracketing, is the last word of _chain's plain reduction from the
+leaf concatenation; so rotating keeps it in one convertibility class
+even when star is not associative, as two chains show, with no search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .monoid import EMPTY_WORD_TOKEN, PartialMonoid
-from .rewriting import _apply, _lstd_moves, _steps, lstd
+from .rewriting import _apply, _lstd_moves, _steps
 from .words import Word, format_word, is_irreducible
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     label: Word
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     left: "Tree"
     right: "Tree"
 
@@ -60,7 +57,7 @@ def rank(t: Tree) -> int:
 
 
 def rotations(t: Tree) -> set[Tree]:
-    """All trees one rotation away, each hashed once: a Node hashes its subtree."""
+    """All trees one rotation away; trees are tuples, hashed by tuple's own code."""
     return set(_rotated(t))
 
 
@@ -97,29 +94,25 @@ def right_comb(t: Tree) -> Tree:
 
 
 def evaluate(m: PartialMonoid, t: Tree) -> Word:
-    """Multiply the leaf labels with star, following the bracketing."""
+    """Multiply the leaf labels with star in t's bracketing: t's chain's last word."""
+    return _checked_chain(m, t)[-1]
+
+
+def _checked_chain(m: PartialMonoid, t: Tree) -> list[Word]:
+    """_chain(m, t), once t's leaf labels are checked to be irreducible."""
     for label in leaf_labels(t):
         if not is_irreducible(m, label):
             raise ValueError(f"leaf label {format_word(m, label)} is not irreducible")
-    return _join(m, t)
-
-
-def _join(m: PartialMonoid, t: Tree) -> Word:
-    """evaluate on a tree whose leaf labels are known to be irreducible.
-
-    Both halves are irreducible, so star is lstd without its checks.
-    """
-    if isinstance(t, Leaf):
-        return t.label
-    return lstd(m, _join(m, t.left) + _join(m, t.right))
+    return _chain(m, t)
 
 
 def _chain(m: PartialMonoid, t: Tree) -> list[Word]:
-    """The words of a plain reduction from t's leaf concatenation to _join(m, t).
+    """The words of a plain reduction from t's leaf concatenation to t's evaluation.
 
-    Reduction is compatible with concatenation, so the left half's chain
-    followed by the right half's, each lifted into the whole word, ends
-    at the two results side by side; the join's recorded steps finish it.
+    t's leaf labels are irreducible, so star at a node is lstd without its
+    checks.  Reduction is compatible with concatenation: the halves'
+    chains, each lifted into the whole word, end at their evaluations
+    side by side, and lstd's recorded steps finish it.
     """
     if isinstance(t, Leaf):
         return [t.label]
@@ -130,31 +123,28 @@ def _chain(m: PartialMonoid, t: Tree) -> list[Word]:
     return chain
 
 
-def _convertible(m: PartialMonoid, s: Tree, t: Tree,
-                 s_eval: Word, t_eval: Word) -> bool:
-    """Certify that s_eval and t_eval, the evaluations of s and t, convert.
+def _convertible(m: PartialMonoid, down: list[Word], up: list[Word]) -> bool:
+    """Certify that the last words of two chains, two evaluations, convert.
 
-    Unless the words are equal, both chains must start at one word, end
-    at the evaluations and move by plain steps: up one, down the other.
+    Unless the last words are equal, both chains must start at one word
+    and move by plain steps: up one, down the other.
     """
-    if s_eval == t_eval:
+    if down[-1] == up[-1]:
         return True
-    down, up = _chain(m, s), _chain(m, t)
-    return (down[0] == up[0] and down[-1] == s_eval and up[-1] == t_eval
-            and all(q in {r for _, r in _steps(m, p)}
-                    for chain in (down, up) for p, q in zip(chain, chain[1:])))
+    return down[0] == up[0] and all(
+        q in {r for _, r in _steps(m, p)}
+        for chain in (down, up) for p, q in zip(chain, chain[1:]))
 
 
 def verify_rotation_invariance(m: PartialMonoid, t: Tree) -> bool:
     """Are the evaluations of all rotations of t interconvertible?
 
-    Each closure tree whose evaluation differs from t's is certified
-    against t by _convertible, not searched.  Rotations keep the leaf
-    sequence, so the labels are checked once, on t.
+    Rotations keep the leaf sequence, so the labels are checked, and t's
+    chain built, once; each closure tree's chain is certified against
+    t's by _convertible, not searched.
     """
-    base = evaluate(m, t)
-    return all(_convertible(m, t, s, base, _join(m, s))
-               for s in rotation_closure(t))
+    base = _checked_chain(m, t)
+    return all(_convertible(m, base, _chain(m, s)) for s in rotation_closure(t))
 
 
 # ------------------------------------------------------------------ text form

@@ -113,7 +113,8 @@ def _lstd_moves(m: PartialMonoid, w: Word) -> Iterator[tuple[int, Optional[int]]
     the letter at i when z is None.  The word is the stack, the incoming
     letter and the unread rest, so a contraction with the stack top sits
     at len(stack) - 1 and an incoming identity letter is erased at
-    len(stack): an annihilating pair is two steps.
+    len(stack): an annihilating pair is two steps.  It stays apart from
+    _lstd so that the hot unrecorded pass pays for no recording.
     """
     identity, rows = m.identity, m.rows
     stack: list[int] = []

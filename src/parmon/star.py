@@ -19,10 +19,11 @@ is empty or their boundary letters do not compose.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .magma import Leaf, Node, _convertible
+from .magma import Leaf, Node, _chain, _convertible
 from .monoid import PartialMonoid
 from .rewriting import _lstd
 from .words import Word, enumerate_irreducible, is_irreducible
@@ -59,6 +60,9 @@ class AssocReport:
         return self.counterexamples[0] if self.counterexamples else None
 
 
+MAX_COMPOSING_PAIRS = 1_000_000  # most (v, w) pairs associativity_search holds
+
+
 def associativity_search(m: PartialMonoid, max_len: int,
                          find_all: bool = False) -> AssocReport:
     """Test both bracketings on every irreducible triple up to max_len.
@@ -73,10 +77,14 @@ def associativity_search(m: PartialMonoid, max_len: int,
     lstd(u + v + w).
     By the bracketing law only the (v, w) whose boundary letters compose
     can fail, so just those pairs are visited, each lstd(v + w) computed
-    once.
+    once; past MAX_COMPOSING_PAIRS of them, counted first, it raises ValueError.
     """
     irr = enumerate_irreducible(m, max_len)
     rows = m.rows
+    if len(irr) ** 2 > MAX_COMPOSING_PAIRS:  # else the pairs are fewer anyway
+        last, first = Counter(v[-1] for v in irr if v), Counter(w[0] for w in irr if w)
+        if sum(last[x] * first[y] for x, y, _ in m.products) > MAX_COMPOSING_PAIRS:
+            raise ValueError(f"more than {MAX_COMPOSING_PAIRS} composing pairs; lower max_len")
     # product order on the pairs, with u outside, is enumeration order
     pairs = [(v, w, _lstd(m, v + w)) for v, w in itertools.product(irr, repeat=2)
              if v and w and rows[v[-1]][w[0]] is not None]
@@ -104,6 +112,6 @@ def assoc_modulo_congruence(m: PartialMonoid, max_len: int
     """
     report = associativity_search(m, max_len, find_all=True)
     return {(c.u, c.v, c.w): _convertible(
-                m, Node(Node(Leaf(c.u), Leaf(c.v)), Leaf(c.w)),
-                Node(Leaf(c.u), Node(Leaf(c.v), Leaf(c.w))), c.left, c.right)
+                m, _chain(m, Node(Node(Leaf(c.u), Leaf(c.v)), Leaf(c.w))),
+                _chain(m, Node(Leaf(c.u), Node(Leaf(c.v), Leaf(c.w)))))
             for c in report.counterexamples}

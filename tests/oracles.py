@@ -3,16 +3,16 @@
 Everything here works straight off the product table with dumb loops and
 no shared code paths with the package internals, so a bug would have to
 appear twice, in two different shapes, to slip through.  The exceptions,
-brute_assoc_counterexamples and brute_assoc_congruence, fold with the
-public star product, the definition that the shortcuts of
-associativity_search and assoc_modulo_congruence must match.
+brute_assoc_counterexamples, brute_assoc_congruence and star_fold, fold
+with the public star product, the definition that the shortcuts of
+associativity_search, assoc_modulo_congruence and evaluate must match.
 """
 
 import functools
 import itertools
 from dataclasses import dataclass
 
-from parmon import convertible_bounded, enumerate_irreducible, star
+from parmon import Leaf, convertible_bounded, enumerate_irreducible, star
 
 
 def table_of(m):
@@ -128,6 +128,13 @@ def brute_assoc_congruence(m, max_len):
         out[(u, v, w)] = convertible_bounded(
             m, left, right, len(u) + len(v) + len(w)) is not None
     return out
+
+
+def star_fold(m, t):
+    """t's leaf labels multiplied with the checked star, following its bracketing."""
+    if isinstance(t, Leaf):
+        return t.label
+    return star(m, star_fold(m, t.left), star_fold(m, t.right))
 
 
 def brute_classify(m):

@@ -394,6 +394,14 @@ def test_assoc_too_many_words_is_an_error_line(capsys):
     assert err == "error: more than 1000000 irreducible words; lower max_len\n"
 
 
+def test_assoc_too_many_composing_pairs_is_an_error_line(capsys):
+    # 43,387 words fit the word cap, but their composing pairs do not
+    code, out, err = run(capsys, "assoc-test", LETTERS3, "--max-len", "4")
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert err == "error: more than 1000000 composing pairs; lower max_len\n"
+
+
 def test_simulate(capsys):
     code, out, _ = run(capsys, "simulate", LETTERS3, "a", "b", "a")
     assert code == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import parmon as P
 from conftest import wrd
+from oracles import star_fold
 
 
 def all_shapes(labels):
@@ -222,7 +223,7 @@ def assert_chain(m, t):
     """t's chain steps from its leaf concatenation down to its evaluation."""
     chain = P.magma._chain(m, t)
     assert chain[0] == sum(P.leaf_labels(t), ())
-    assert chain[-1] == P.evaluate(m, t)
+    assert chain[-1] == star_fold(m, t)
     for p, q in zip(chain, chain[1:]):
         assert q in {r for _, r in P.one_step_reductions(m, p)}
 
@@ -240,6 +241,12 @@ def certificate_cases(ex2, letters3, group2, sample_tables):
     return [(m, list(trees)) for m, trees in cases]
 
 
+def test_evaluate_matches_star_fold(certificate_cases):
+    for m, trees in certificate_cases:
+        for t in trees:
+            assert P.evaluate(m, t) == star_fold(m, t)
+
+
 def test_chains_reduce_the_leaf_concatenation(certificate_cases):
     # on invalid tables too: the argument never uses the chain law
     for m, trees in certificate_cases:
@@ -254,24 +261,26 @@ def test_certificates_agree_with_the_search(certificate_cases):
     differ = 0
     for m, trees in certificate_cases:
         for t in trees:
-            comb = P.right_comb(t)
-            u, v = P.evaluate(m, t), P.evaluate(m, comb)
+            down, up = P.magma._chain(m, t), P.magma._chain(m, P.right_comb(t))
+            u, v = down[-1], up[-1]
             cap = sum(len(label) for label in P.leaf_labels(t))
             assert P.convertible_bounded(m, u, v, cap) is not None
-            assert P.magma._convertible(m, t, comb, u, v)
+            assert P.magma._convertible(m, down, up)
             differ += u != v
     assert differ > 0
 
 
-def test_certificates_refuse_broken_chains(letters3, pentagon, monkeypatch):
-    comb = P.right_comb(pentagon)
-    u, v = P.evaluate(letters3, pentagon), P.evaluate(letters3, comb)
-    assert u != v and P.magma._convertible(letters3, pentagon, comb, u, v)
-    # a chain ending elsewhere, or skipping a step, certifies nothing
-    assert not P.magma._convertible(letters3, pentagon, comb, u, u + v)
-    real = P.magma._chain
-    monkeypatch.setattr(P.magma, "_chain", lambda m, t: real(m, t)[::2] + real(m, t)[-1:])
-    assert not P.magma._convertible(letters3, pentagon, comb, u, v)
+def test_certificates_refuse_broken_chains(letters3, pentagon):
+    down = P.magma._chain(letters3, pentagon)
+    up = P.magma._chain(letters3, P.right_comb(pentagon))
+    u, v = down[-1], up[-1]
+    assert u != v and P.magma._convertible(letters3, down, up)
+    # a chain skipping a step, chains from two first words, or a chain
+    # with a last word no step from the one before certifies nothing
+    assert len(down) > 2
+    assert not P.magma._convertible(letters3, down[::2] + down[-1:], up)
+    assert down[0] != up[1] and not P.magma._convertible(letters3, down, up[1:])
+    assert not P.magma._convertible(letters3, down, up + [u + v])
 
 
 # ------------------------------------------------------------------ text form
@@ -336,3 +345,7 @@ def test_trees_are_hashable_values(ex2):
     x = wrd(ex2, "x")
     assert P.Leaf(x) == P.Leaf(x)
     assert len({P.Node(P.Leaf(x), P.Leaf(x)), P.Node(P.Leaf(x), P.Leaf(x))}) == 1
+    # a leaf is never a node, whatever the labels
+    assert P.Leaf(x) != P.Node(P.Leaf(x), P.Leaf(x))
+    assert P.Leaf(x + x) != P.Node(P.Leaf(x), P.Leaf(x))
+    assert len({P.Leaf(x), P.Node(P.Leaf(x), P.Leaf(x))}) == 2

@@ -1,5 +1,6 @@
 """The star product on irreducible words and its associativity behavior."""
 
+import importlib
 import itertools
 import random
 
@@ -102,6 +103,19 @@ def test_search_matches_star_folds(ex2, letters3, sample_tables):
             got = [(c.u, c.v, c.w, c.left, c.right)
                    for c in report.counterexamples]
             assert got == want
+
+
+def test_composing_pair_cap_is_exact(letters3, monkeypatch):
+    # the tallies count exactly the pairs the search would hold
+    irr = P.enumerate_irreducible(letters3, 2)
+    pairs = sum(1 for v, w in itertools.product(irr, repeat=2)
+                if v and w and letters3.rows[v[-1]][w[0]] is not None)
+    star_module = importlib.import_module("parmon.star")
+    monkeypatch.setattr(star_module, "MAX_COMPOSING_PAIRS", pairs)
+    assert not P.associativity_search(letters3, 2).associative
+    monkeypatch.setattr(star_module, "MAX_COMPOSING_PAIRS", pairs - 1)
+    with pytest.raises(ValueError, match=f"more than {pairs - 1} composing pairs"):
+        P.associativity_search(letters3, 2)
 
 
 def test_counterexamples_verify(letters3):
