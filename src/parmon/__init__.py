@@ -9,9 +9,8 @@ from .monoid import (ParseError, PartialMonoid, ValidationReport, Violation,
                      gen_disjoint_union_monoid, gen_no_common_letters_monoid,
                      is_catenary, parse_monoid, random_monoid,
                      serialize_monoid, validate)
-from .rewriting import (ReductionTrace, TraceStep, convertible_bounded,
-                        expansions, lstd, lstd_trace, normal_forms,
-                        one_step_reductions)
+from .rewriting import (ReductionTrace, TraceStep, convertible_bounded, lstd,
+                        lstd_trace, normal_forms, one_step_reductions)
 from .star import (AssocCounterexample, AssocReport, assoc_modulo_congruence,
                    associativity_search, star)
 from .words import (EMPTY, Word, enumerate_irreducible, format_word,

@@ -60,8 +60,7 @@ class PartialMonoid:
     job of :func:`validate`.
     """
 
-    __slots__ = ("elements", "identity", "products", "rows", "right", "_index",
-                 "_facts")
+    __slots__ = ("elements", "identity", "products", "rows", "right", "_index")
 
     def __init__(self, elements: Iterable[str], identity: int,
                  products: Mapping[tuple[int, int], int]):
@@ -104,10 +103,6 @@ class PartialMonoid:
         self.products = tuple((x, y, z) for x, row in enumerate(rows)
                               for y, z in enumerate(row) if z is not None)
         self._index = {name: i for i, name in enumerate(elements)}
-        facts: dict[int, list[tuple[int, int]]] = {}
-        for x, y, z in self.products:
-            facts.setdefault(z, []).append((x, y))
-        self._facts = {z: tuple(ps) for z, ps in facts.items()}
 
     # -------------------------------------------------- basic queries
 
@@ -135,10 +130,6 @@ class PartialMonoid:
 
     def non_identity(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.elements)) if i != self.identity)
-
-    def factorizations(self, z: int) -> tuple[tuple[int, int], ...]:
-        """All pairs (x, y) with x*y = z, identity factorizations included."""
-        return self._facts.get(z, ())
 
     # -------------------------------------------------- value semantics
 

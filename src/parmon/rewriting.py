@@ -181,38 +181,17 @@ def lstd_trace(m: PartialMonoid, w: Word) -> ReductionTrace:
 
 # ------------------------------------------------------------------ convertibility
 
-def expansions(m: PartialMonoid, w: Word, max_len: int) -> list[Word]:
-    """All single reverse steps that stay within max_len, in stable order.
-
-    Reverse erasure inserts the identity letter anywhere; reverse
-    contraction replaces a letter by any defined pair producing it.
-    """
-    check_word(m, w)
-    if len(w) >= max_len:
-        return []
-    out = []
-    for i in range(len(w) + 1):
-        out.append(w[:i] + (m.identity,) + w[i:])
-    for i, c in enumerate(w):
-        for x, y in m.factorizations(c):
-            out.append(w[:i] + (x, y) + w[i + 1:])
-    return out
-
-
-def _neighbors(m: PartialMonoid, w: Word, max_len: int) -> list[Word]:
-    down = sorted(set(_steps(m, w)))
-    return [r for _, r in down] + expansions(m, w, max_len)
-
-
 def convertible_bounded(m: PartialMonoid, u: Word, v: Word,
                         max_len: Optional[int] = None) -> Optional[list[Word]]:
     """Search for a conversion u <-> ... <-> v through words of bounded length.
 
     Bidirectional breadth-first search over single steps in either
     direction, never visiting a word longer than max_len (default
-    len(u) + len(v)).  Returns the path as a word list, or None when no
-    conversion exists within the bound.  None means not found, not
-    refuted: a longer detour could still connect the two words.
+    len(u) + len(v)).  A reverse step inserts the identity letter
+    anywhere, or replaces a letter by any defined pair producing it.
+    Returns the path as a word list, or None when no conversion exists
+    within the bound.  None means not found, not refuted: a longer
+    detour could still connect the two words.
     """
     check_word(m, u)
     check_word(m, v)
@@ -220,6 +199,20 @@ def convertible_bounded(m: PartialMonoid, u: Word, v: Word,
         max_len = len(u) + len(v)
     if u == v:
         return [u]
+    identity = m.identity
+    factors: dict[int, list[Word]] = {}
+    for x, y, z in m.products:
+        factors.setdefault(z, []).append((x, y))
+
+    def neighbors(w: Word) -> list[Word]:
+        """Sorted one-step reducts, then reverse steps within max_len."""
+        out = [r for _, r in sorted(set(_steps(m, w)))]
+        if len(w) < max_len:
+            out += [w[:i] + (identity,) + w[i:] for i in range(len(w) + 1)]
+            out += [w[:i] + xy + w[i + 1:]
+                    for i, c in enumerate(w) for xy in factors.get(c, ())]
+        return out
+
     parents_a: dict[Word, Optional[Word]] = {u: None}
     parents_b: dict[Word, Optional[Word]] = {v: None}
     frontier_a, frontier_b = [u], [v]
@@ -243,7 +236,7 @@ def convertible_bounded(m: PartialMonoid, u: Word, v: Word,
             parents_a, parents_b = parents_b, parents_a
         nxt = []
         for w in frontier_a:
-            for nb in _neighbors(m, w, max_len):
+            for nb in neighbors(w):
                 if nb in parents_a:
                     continue
                 parents_a[nb] = w

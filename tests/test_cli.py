@@ -503,17 +503,22 @@ SEED1_TREE40 = (
 
 def test_magma_demo_large_trees(capsys):
     # the conversion is read off the reductions, so large trees answer
-    # at once: the 40-leaf tree and the left comb at the leaf bound
-    left_comb = "a"
-    for i in range(parmon.magma.MAX_TREE_DEPTH):
-        left_comb = f"({left_comb} {'abcba'[(i + 1) % 5]})"
-    for tree in (SEED1_TREE40, left_comb):
+    # at once: the 40-leaf tree and the left and right combs at the leaf bound
+    labels = "a" + "".join("abcba"[(i + 1) % 5]
+                           for i in range(parmon.magma.MAX_TREE_DEPTH))
+    left_comb, right_comb = labels[0], labels[-1]
+    for c in labels[1:]:
+        left_comb = f"({left_comb} {c})"
+    for c in reversed(labels[:-1]):
+        right_comb = f"({c} {right_comb})"
+    for tree in (SEED1_TREE40, left_comb, right_comb):
         code, out, err = run(capsys, "magma-demo", LETTERS3, tree)
         assert (code, err) == (0, "")
         lines = out.splitlines()
         assert lines[-1] == "convertible: yes"
         evaluation, comb = lines[-3], lines[-2]
-        assert evaluation.split(": ")[1] != comb.split(": ")[1]
+        # only the right comb is its own comb
+        assert (evaluation.split(": ")[1] == comb.split(": ")[1]) == (tree == right_comb)
 
 
 # ------------------------------------------------------------------ random-check

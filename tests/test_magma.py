@@ -170,17 +170,6 @@ def test_evaluate_empty_leaf(ex2):
     assert P.evaluate(ex2, t) == wrd(ex2, "x")
 
 
-def test_evaluate_equals_star_fold_on_combs(ex2):
-    # a right comb evaluates to the right-folded star product
-    ws = [wrd(ex2, n) for n in ("x", "z", "y")]
-    comb = P.right_comb(P.Node(P.Node(P.Leaf(ws[0]), P.Leaf(ws[1])),
-                               P.Leaf(ws[2])))
-    acc = ws[-1]
-    for w in reversed(ws[:-1]):
-        acc = P.star(ex2, w, acc)
-    assert P.evaluate(ex2, comb) == acc
-
-
 # ------------------------------------------------------------------ invariance
 
 def test_rotation_invariance_confluent(ex2):

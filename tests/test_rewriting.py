@@ -128,7 +128,6 @@ WORD_FUNCTIONS = {
     "one_step_reductions": P.one_step_reductions,
     "normal_forms": P.normal_forms,
     "lstd_trace": P.lstd_trace,
-    "expansions": lambda m, w: P.expansions(m, w, len(w) + 1),
     "convertible_bounded": lambda m, w: P.convertible_bounded(m, w, w),
     "star left": lambda m, w: P.star(m, w, ()),
     "star right": lambda m, w: P.star(m, (), w),
@@ -375,25 +374,6 @@ def test_empty_trace(ex2):
     t = P.lstd_trace(ex2, wrd(ex2, "z y"))
     assert t.steps == ()
     assert t.result == wrd(ex2, "z y")
-
-
-# ------------------------------------------------------------------ expansions
-
-def test_expansions_shape(ex2):
-    x, y = ex2.index("x"), ex2.index("y")
-    exp = P.expansions(ex2, (x,), 3)
-    # identity insertions at both ends, then factorizations of x
-    assert exp[:2] == [(ex2.identity, x), (x, ex2.identity)]
-    assert (x, y) in exp  # x y = x
-    assert all(len(w) <= 3 for w in exp)
-    assert P.expansions(ex2, (x, y, y), 3) == []  # already at the cap
-
-
-def test_expansions_are_reverse_steps(ex2, letters3):
-    for m in (ex2, letters3):
-        for w in all_words(m, 3):
-            for up in P.expansions(m, w, 5):
-                assert w in {r for _, r in P.one_step_reductions(m, up)}
 
 
 # ------------------------------------------------------------------ convertibility
