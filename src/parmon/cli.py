@@ -76,32 +76,37 @@ def cmd_validate(args) -> int:
 
 
 def cmd_confluence(args) -> int:
+    """Every A0 witness as one formatted string, written in one piece."""
     m = _load_valid(args.file)
     verdict = is_confluent(m)
     agree = None
     if args.oracle:
         agree = newman_check(m) == verdict.confluent
-    names = m.elements
+    write = sys.stdout.write
     if args.json:
-        out = {
-            "confluent": verdict.confluent,
-            "method": "essential",
-            "a0_witnesses": [
-                {"x": names[t.x], "y": names[t.y], "z": names[t.z],
-                 "a": names[t.a], "b": names[t.b],
-                 "pair": [[names[c] for c in w] for w in t.pair]}
-                for t in verdict.a0_witnesses],
-        }
-        if agree is not None:
-            out["oracle_agrees"] = agree
-        print(json.dumps(out))
+        # each name is quoted once; the layout is json.dumps's for the
+        # dict {"x", "y", "z", "a", "b", "pair": [[a, z], [x, b]]}
+        q = [json.dumps(n) for n in m.elements]
+        write(f'{{"confluent": {json.dumps(verdict.confluent)}, '
+              '"method": "essential", "a0_witnesses": [')
+        write(", ".join([
+            f'{{"x": {q[x]}, "y": {q[y]}, "z": {q[z]}, "a": {q[a]}, '
+            f'"b": {q[b]}, "pair": [[{q[a]}, {q[z]}], [{q[x]}, {q[b]}]]}}'
+            for x, y, z, a, b, _ in verdict.a0_witnesses]))
+        if agree is None:
+            write("]}\n")
+        else:
+            write(f'], "oracle_agrees": {json.dumps(agree)}}}\n')
     else:
-        print("confluent" if verdict.confluent else "not confluent")
-        for t in verdict.a0_witnesses:
-            print(f"  A0 ({names[t.x]}, {names[t.y]}, {names[t.z]}): "
-                  f"{format_word(m, t.pair[0])} vs {format_word(m, t.pair[1])}")
+        # both pair words have two letters, so neither is eps
+        names = m.elements
+        lines = ["confluent" if verdict.confluent else "not confluent"]
+        lines += [f"  A0 ({names[x]}, {names[y]}, {names[z]}): "
+                  f"{names[a]}·{names[z]} vs {names[x]}·{names[b]}"
+                  for x, y, z, a, b, _ in verdict.a0_witnesses]
         if agree is not None:
-            print("oracle agrees" if agree else "oracle DISAGREES")
+            lines.append("oracle agrees" if agree else "oracle DISAGREES")
+        write("\n".join(lines) + "\n")
     if agree is False:
         return EXIT_NEGATIVE
     return EXIT_OK if verdict.confluent else EXIT_NEGATIVE
@@ -145,26 +150,30 @@ def cmd_normalize(args) -> int:
 def cmd_critical_pairs(args) -> int:
     """One line, or one JSON array element, per fork as the walk yields it."""
     m = _load_valid(args.file)
-    counts = {k.value: 0 for k in PairClass}
-    names = m.elements
+    counts = dict.fromkeys(PairClass, 0)
+    label = {k: k.value for k in PairClass}
     write = sys.stdout.write
     if args.json:
+        q = [json.dumps(n) for n in m.elements]
+        quoted = {k: json.dumps(v) for k, v in label.items()}
         write('{"triples": [')
         sep = ""
         for x, y, z, a, b, kind in _classified(m):
-            counts[kind.value] += 1
-            write(sep + json.dumps({"x": names[x], "y": names[y], "z": names[z],
-                                    "a": names[a], "b": names[b],
-                                    "class": kind.value}))
+            counts[kind] += 1
+            write(f'{sep}{{"x": {q[x]}, "y": {q[y]}, "z": {q[z]}, '
+                  f'"a": {q[a]}, "b": {q[b]}, "class": {quoted[kind]}}}')
             sep = ", "
-        write(f'], "counts": {json.dumps(counts)}}}\n')
+        tally = json.dumps({label[k]: n for k, n in counts.items()})
+        write(f'], "counts": {tally}}}\n')
     else:
+        names = m.elements
         write("x y z a b class\n")
         for x, y, z, a, b, kind in _classified(m):
-            counts[kind.value] += 1
+            counts[kind] += 1
             write(f"{names[x]} {names[y]} {names[z]} "
-                  f"{names[a]} {names[b]} {kind.value}\n")
-        write(f"counts: A0={counts['A0']} A1={counts['A1']} B={counts['B']}\n")
+                  f"{names[a]} {names[b]} {label[kind]}\n")
+        write("counts: " + " ".join(f"{label[k]}={n}"
+                                    for k, n in counts.items()) + "\n")
     return EXIT_OK
 
 

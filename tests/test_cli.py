@@ -252,18 +252,60 @@ def _critical_pairs_in_one_piece(m, as_json):
     return "\n".join(lines) + "\n"
 
 
-def test_critical_pairs_stream_equals_one_piece(capsys, tmp_path):
+def _table_files(tmp_path):
+    """Both fixtures, du4 and a seeded table with every fork class,
+    the last with two A0 witnesses."""
     seeded = parmon.random_monoid(random.Random(5), 12)
     kinds = {t.kind for t in parmon.essential_critical_pairs(seeded)}
     assert kinds == set(parmon.PairClass)
-    path = tmp_path / "seeded.monoid"
-    path.write_text(parmon.serialize_monoid(seeded), encoding="utf-8")
-    for file in (EX2, LETTERS3, str(path)):
-        m = parmon.parse_monoid(Path(file).read_text(encoding="utf-8"))
+    assert len(parmon.is_confluent(seeded).a0_witnesses) >= 2
+    files = [EX2, LETTERS3]
+    for name, m in (("du4", parmon.gen_disjoint_union_monoid(4)),
+                    ("seeded", seeded)):
+        path = tmp_path / f"{name}.monoid"
+        path.write_text(parmon.serialize_monoid(m), encoding="utf-8")
+        files.append(str(path))
+    return [(f, parmon.parse_monoid(Path(f).read_text(encoding="utf-8")))
+            for f in files]
+
+
+def test_critical_pairs_stream_equals_one_piece(capsys, tmp_path):
+    for file, m in _table_files(tmp_path):
         for flags in ([], ["--json"]):
             code, out, err = run(capsys, "critical-pairs", file, *flags)
             assert (code, err) == (0, "")
             assert out == _critical_pairs_in_one_piece(m, bool(flags))
+
+
+def _confluence_in_one_piece(m, agree):
+    """confluence --json rendered as one dict, with each pair read from
+    EssentialTriple.pair; agree is None without --oracle."""
+    verdict = parmon.is_confluent(m)
+    names = m.elements
+    out = {
+        "confluent": verdict.confluent,
+        "method": "essential",
+        "a0_witnesses": [
+            {"x": names[t.x], "y": names[t.y], "z": names[t.z],
+             "a": names[t.a], "b": names[t.b],
+             "pair": [[names[c] for c in w] for w in t.pair]}
+            for t in verdict.a0_witnesses],
+    }
+    if agree is not None:
+        out["oracle_agrees"] = agree
+    return json.dumps(out) + "\n"
+
+
+def test_confluence_stream_equals_one_piece(capsys, tmp_path):
+    for file, m in _table_files(tmp_path):
+        confluent = parmon.is_confluent(m).confluent
+        expected_code = cli.EXIT_OK if confluent else cli.EXIT_NEGATIVE
+        for oracle in (False, True):
+            flags = ["--oracle"] if oracle else []
+            code, out, err = run(capsys, "confluence", file, "--json", *flags)
+            assert (code, err) == (expected_code, "")
+            agree = parmon.newman_check(m) == confluent if oracle else None
+            assert out == _confluence_in_one_piece(m, agree)
 
 
 # ------------------------------------------------------------------ golden output
@@ -279,6 +321,8 @@ GOLDEN = ROOT / "tests" / "golden"
     (["assoc-test", "--max-len", "2"], "assoc-test"),
     (["assoc-test", "--max-len", "2", "--json"], "assoc-test-json"),
     (["assoc-test", "--max-len", "1", "--all", "--json"], "assoc-test-all-json"),
+    (["confluence", "--json"], "confluence-json"),
+    (["critical-pairs"], "critical-pairs"),
 ])
 def test_golden_output(capsys, fixture, argv, slug):
     # witness lists and their order, byte for byte
