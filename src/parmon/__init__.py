@@ -1,14 +1,13 @@
 """Finite partial monoids, their rewriting systems, and normal form algebra."""
 
-from .confluence import (ConfluenceVerdict, EssentialTriple, PairClass,
-                         essential_critical_pairs, is_confluent, newman_check)
+from .confluence import (ConfluenceVerdict, essential_critical_pairs,
+                         is_catenary, is_confluent, newman_check)
 from .magma import (Leaf, Node, Tree, evaluate, format_tree, leaf_labels,
                     leaves, parse_tree, rank, right_comb, rotation_closure,
                     rotations, verify_rotation_invariance)
 from .monoid import (ParseError, PartialMonoid, ValidationReport, Violation,
                      gen_disjoint_union_monoid, gen_no_common_letters_monoid,
-                     is_catenary, parse_monoid, random_monoid,
-                     serialize_monoid, validate)
+                     parse_monoid, random_monoid, serialize_monoid, validate)
 from .rewriting import (ReductionTrace, TraceStep, convertible_bounded, lstd,
                         lstd_trace, normal_forms, one_step_reductions)
 from .star import (AssocCounterexample, AssocReport, assoc_modulo_congruence,

@@ -15,8 +15,9 @@ import sys
 from pathlib import Path
 
 from . import magma
-from .confluence import PairClass, _classified, is_confluent, newman_check
-from .monoid import (PartialMonoid, ParseError, is_catenary, parse_monoid,
+from .confluence import (essential_critical_pairs, is_catenary, is_confluent,
+                         newman_check)
+from .monoid import (PartialMonoid, ParseError, chain_violations, parse_monoid,
                      random_monoid, validate)
 from .rewriting import lstd, lstd_trace, normal_forms
 from .star import associativity_search, star
@@ -41,9 +42,8 @@ def _load(path: str) -> PartialMonoid:
 
 def _load_valid(path: str) -> PartialMonoid:
     m = _load(path)
-    report = validate(m)
-    if not report.valid:
-        first = report.violations[0]
+    first = next(chain_violations(m), None)
+    if first is not None:
         raise ValueError(f"{path}: not a valid partial monoid; "
                          f"first violation {first.message}")
     return m
@@ -92,7 +92,7 @@ def cmd_confluence(args) -> int:
         write(", ".join([
             f'{{"x": {q[x]}, "y": {q[y]}, "z": {q[z]}, "a": {q[a]}, '
             f'"b": {q[b]}, "pair": [[{q[a]}, {q[z]}], [{q[x]}, {q[b]}]]}}'
-            for x, y, z, a, b, _ in verdict.a0_witnesses]))
+            for x, y, z, a, b in verdict.a0_witnesses]))
         if agree is None:
             write("]}\n")
         else:
@@ -103,7 +103,7 @@ def cmd_confluence(args) -> int:
         lines = ["confluent" if verdict.confluent else "not confluent"]
         lines += [f"  A0 ({names[x]}, {names[y]}, {names[z]}): "
                   f"{names[a]}·{names[z]} vs {names[x]}·{names[b]}"
-                  for x, y, z, a, b, _ in verdict.a0_witnesses]
+                  for x, y, z, a, b in verdict.a0_witnesses]
         if agree is not None:
             lines.append("oracle agrees" if agree else "oracle DISAGREES")
         write("\n".join(lines) + "\n")
@@ -150,30 +150,27 @@ def cmd_normalize(args) -> int:
 def cmd_critical_pairs(args) -> int:
     """One line, or one JSON array element, per fork as the walk yields it."""
     m = _load_valid(args.file)
-    counts = dict.fromkeys(PairClass, 0)
-    label = {k: k.value for k in PairClass}
+    counts = {"A0": 0, "A1": 0, "B": 0}
     write = sys.stdout.write
     if args.json:
         q = [json.dumps(n) for n in m.elements]
-        quoted = {k: json.dumps(v) for k, v in label.items()}
         write('{"triples": [')
         sep = ""
-        for x, y, z, a, b, kind in _classified(m):
+        for x, y, z, a, b, kind in essential_critical_pairs(m):
             counts[kind] += 1
             write(f'{sep}{{"x": {q[x]}, "y": {q[y]}, "z": {q[z]}, '
-                  f'"a": {q[a]}, "b": {q[b]}, "class": {quoted[kind]}}}')
+                  f'"a": {q[a]}, "b": {q[b]}, "class": "{kind}"}}')
             sep = ", "
-        tally = json.dumps({label[k]: n for k, n in counts.items()})
-        write(f'], "counts": {tally}}}\n')
+        write(f'], "counts": {json.dumps(counts)}}}\n')
     else:
         names = m.elements
         write("x y z a b class\n")
-        for x, y, z, a, b, kind in _classified(m):
+        for x, y, z, a, b, kind in essential_critical_pairs(m):
             counts[kind] += 1
             write(f"{names[x]} {names[y]} {names[z]} "
-                  f"{names[a]} {names[b]} {label[kind]}\n")
-        write("counts: " + " ".join(f"{label[k]}={n}"
-                                    for k, n in counts.items()) + "\n")
+                  f"{names[a]} {names[b]} {kind}\n")
+        write("counts: " + " ".join(f"{k}={n}" for k, n in counts.items())
+              + "\n")
     return EXIT_OK
 
 

@@ -2,12 +2,13 @@
 
 Two routes to the same verdict.  The direct route classifies the
 essential forks: every triple (x, y, z) with x*y = a and y*z = b forks
-the word x y z into a z and x b, and the fork is
+the word x y z into a z and x b.  A fork is the plain tuple
+(x, y, z, a, b), and its class is one of the label strings
 
-    B   when (a, z) is defined -- the two sides rejoin in one step,
-    A1  when (a, z) is undefined but a = x and b = z -- both sides are
-        already the same irreducible pair of letters,
-    A0  otherwise -- two distinct irreducible results.
+    "B"   when (a, z) is defined -- the two sides rejoin in one step,
+    "A1"  when (a, z) is undefined but a = x and b = z -- both sides
+          are already the same irreducible pair of letters,
+    "A0"  otherwise -- two distinct irreducible results.
 
 The system is confluent exactly when no fork is A0; an A0 fork never
 involves the identity anywhere.  The forks of one defined pair (x, y)
@@ -15,6 +16,8 @@ are the right partners z of y, the set bits of ``m.right[y]``, and the
 B ones are those that are right partners of a as well.  So the A forks
 of (x, y) are the set bits of ``right[y] & ~right[a]``, in ascending z,
 and the verdict walks only those: on a group there are none at all.
+The catenary test reads the same masks: a table is catenary exactly
+when no A fork has a non-identity middle y.
 
 The oracle route checks every critical pair of the rule set for a
 common reduct.  The pairs come from the standard superposition
@@ -34,60 +37,43 @@ every overlap pair of (x, y) gets them.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, Optional
 
-from .monoid import PartialMonoid, set_bits, totalized
+from .monoid import PartialMonoid, totalized
 from .rewriting import normal_forms
 from .words import Word
 
 
-class PairClass(enum.Enum):
-    A0 = "A0"
-    A1 = "A1"
-    B = "B"
+def set_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-class EssentialTriple(NamedTuple):
-    x: int
-    y: int
-    z: int
-    a: int  # x*y
-    b: int  # y*z
-    kind: PairClass
-
-    @property
-    def pair(self) -> tuple[Word, Word]:
-        return ((self.a, self.z), (self.x, self.b))
-
-
-def _classified(m: PartialMonoid) -> Iterator[tuple[int, int, int, int, int, PairClass]]:
-    """Every fork as (x, y, z, a, b, kind), in (x, y, z) index order."""
+def essential_critical_pairs(
+        m: PartialMonoid) -> Iterator[tuple[int, int, int, int, int, str]]:
+    """Every fork with its label, as (x, y, z, a, b, label), in (x, y, z)
+    index order.  Its critical pair is ((a, z), (x, b))."""
     rows = m.rows
     partners = [tuple(set_bits(mask)) for mask in m.right]
-    # locals, because an enum attribute lookup costs more than the test
-    B, A1, A0 = PairClass.B, PairClass.A1, PairClass.A0
     for x, y, a in m.products:
         row_a, row_y = rows[a], rows[y]
         for z in partners[y]:
             b = row_y[z]
             if row_a[z] is not None:
-                yield x, y, z, a, b, B
+                yield x, y, z, a, b, "B"
             elif a == x and b == z:
-                yield x, y, z, a, b, A1
+                yield x, y, z, a, b, "A1"
             else:
-                yield x, y, z, a, b, A0
-
-
-def essential_critical_pairs(m: PartialMonoid) -> list[EssentialTriple]:
-    """Classify every fork, in (x, y, z) index order.  Assumes m validates."""
-    return list(map(EssentialTriple._make, _classified(m)))
+                yield x, y, z, a, b, "A0"
 
 
 @dataclass(frozen=True)
 class ConfluenceVerdict:
-    a0_witnesses: tuple[EssentialTriple, ...]
+    a0_witnesses: tuple[tuple[int, int, int, int, int], ...]  # A0 forks
 
     @property
     def confluent(self) -> bool:
@@ -95,9 +81,8 @@ class ConfluenceVerdict:
 
 
 def is_confluent(m: PartialMonoid) -> ConfluenceVerdict:
-    """Walk the A forks of each defined pair; only the A0 ones become witnesses."""
+    """Walk the A forks of each defined pair; the A0 ones are the witnesses."""
     rows, right = m.rows, m.right
-    A0 = PairClass.A0
     a0 = []
     for x, y, a in m.products:
         open_forks = right[y] & ~right[a]
@@ -106,8 +91,25 @@ def is_confluent(m: PartialMonoid) -> ConfluenceVerdict:
             for z in set_bits(open_forks):
                 b = row_y[z]
                 if a != x or b != z:
-                    a0.append(EssentialTriple(x, y, z, a, b, A0))
+                    a0.append((x, y, z, a, b))
     return ConfluenceVerdict(tuple(a0))
+
+
+def is_catenary(m: PartialMonoid) -> tuple[bool, Optional[tuple[int, int, int]]]:
+    """Does definedness chain through non-identity middles?
+
+    Catenary: whenever x*y and y*z are defined with y not the identity,
+    (x*y)*z is defined too.  Returns (True, None) or (False, witness),
+    the witness being the first such fork in (x, y, z) order: the lowest
+    bit of the first nonzero A-fork mask, over non-identity y.
+    """
+    right, identity = m.right, m.identity
+    for x, y, a in m.products:
+        if y != identity:
+            stuck = right[y] & ~right[a]
+            if stuck:
+                return False, (x, y, (stuck & -stuck).bit_length() - 1)
+    return True, None
 
 
 def newman_check(m: PartialMonoid) -> bool:

@@ -248,7 +248,12 @@ class ValidationReport:
 
 
 def validate(m: PartialMonoid) -> ValidationReport:
-    """Check the chain law; list every violating triple in (x, y, z) order.
+    """Check the chain law; list every violating triple in (x, y, z) order."""
+    return ValidationReport(tuple(chain_violations(m)))
+
+
+def chain_violations(m: PartialMonoid) -> Iterator[Violation]:
+    """Every violating triple of the chain law, in (x, y, z) order, lazily.
 
     The chain law is associativity of the totalization T: adjoin an
     absorbing zero and send every undefined product to it.  Light's
@@ -259,7 +264,7 @@ def validate(m: PartialMonoid) -> ValidationReport:
     the two sides over all z are whole rows of T, compared at once.
 
     When some generator is not good, the same row comparison runs over
-    every (x, y), and only the rows that differ are walked in z to list
+    every (x, y), and only the rows that differ are walked in z to yield
     the violations.
     """
     n = len(m.rows)
@@ -268,10 +273,9 @@ def validate(m: PartialMonoid) -> ValidationReport:
 
     if all(T[T[x][y]] == times[y](T[x]) for y in _generators(T, m.identity)
            for x in range(n)):
-        return ValidationReport(())
+        return
 
     names = m.elements
-    viols = []
     for x in range(n):
         row_x = T[x]
         nx = names[x]
@@ -287,19 +291,18 @@ def validate(m: PartialMonoid) -> ValidationReport:
                     continue
                 nz = names[z]
                 if right == zero:
-                    viols.append(Violation(
+                    yield Violation(
                         x, y, z, "left-only",
-                        f"({nx} {ny}) {nz} is defined but {nx} ({ny} {nz}) is not"))
+                        f"({nx} {ny}) {nz} is defined but {nx} ({ny} {nz}) is not")
                 elif left == zero:
-                    viols.append(Violation(
+                    yield Violation(
                         x, y, z, "right-only",
-                        f"{nx} ({ny} {nz}) is defined but ({nx} {ny}) {nz} is not"))
+                        f"{nx} ({ny} {nz}) is defined but ({nx} {ny}) {nz} is not")
                 else:
-                    viols.append(Violation(
+                    yield Violation(
                         x, y, z, "unequal",
                         f"({nx} {ny}) {nz} = {names[left]} but "
-                        f"{nx} ({ny} {nz}) = {names[right]}"))
-    return ValidationReport(tuple(viols))
+                        f"{nx} ({ny} {nz}) = {names[right]}")
 
 
 def totalized(m: PartialMonoid) -> tuple[list[tuple[int, ...]], list[itemgetter]]:
@@ -341,36 +344,6 @@ def _generators(T: list[tuple[int, ...]], identity: int) -> list[int]:
             members.append(s)
             todo.extend(p for a in gens for p in (T[s][a], T[a][s]))
     return gens
-
-
-# ------------------------------------------------------------------ structure probes
-
-def set_bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def is_catenary(m: PartialMonoid) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Does definedness chain through non-identity middles?
-
-    Catenary: whenever x*y and y*z are defined with y not the identity,
-    (x*y)*z is defined too.  Returns (True, None) or (False, witness),
-    the witness being the first such fork in (x, y, z) order.
-
-    The forks (x, y, z) with (x*y)*z undefined are the set bits z of
-    ``right[y] & ~right[x*y]``, so the first one is the lowest bit of
-    the first nonzero mask in ``products`` order.
-    """
-    right, identity = m.right, m.identity
-    for x, y, a in m.products:
-        if y != identity:
-            stuck = right[y] & ~right[a]
-            if stuck:
-                return False, (x, y, (stuck & -stuck).bit_length() - 1)
-    return True, None
 
 
 # ------------------------------------------------------------------ generators

@@ -49,8 +49,9 @@ def test_criterion_1_fixture_verdicts(ex2, letters3):
     assert not verdict.confluent
     first = verdict.a0_witnesses[0]
     a, b, ab, ba = (letters3.index(n) for n in ("a", "b", "ab", "ba"))
-    assert (first.x, first.y, first.z) == (a, b, a)
-    assert first.pair == ((ab, a), (a, ba))
+    x, y, z, xy, yz = first
+    assert (x, y, z) == (a, b, a)
+    assert ((xy, z), (x, yz)) == ((ab, a), (a, ba))
 
     assert P.validate(ex2).valid
     verdict2 = P.is_confluent(ex2)

@@ -131,12 +131,26 @@ def test_confluence_json(capsys):
                      "pair": [["ab", "a"], ["a", "ba"]]}
 
 
+def _fully_violating(n):
+    """Identity g0, and gi gj = g(i mod (n-1) + 1) for i, j >= 1: every
+    non-identity triple breaks the chain law."""
+    names = [f"g{i}" for i in range(n)]
+    lines = ["elements: " + " ".join(names), "identity: g0"]
+    lines += [f"g{i} g{j} = g{i % (n - 1) + 1}"
+              for i in range(1, n) for j in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
 def test_confluence_rejects_invalid(capsys, tmp_path):
-    f = tmp_path / "broken.monoid"
-    f.write_text(BROKEN)
-    code, _, err = run(capsys, "confluence", str(f))
-    assert code == 1
-    assert "not a valid partial monoid" in err
+    # the second table has about 2 M violations; the error needs the first
+    for name, text in (("broken", BROKEN), ("violating", _fully_violating(128))):
+        f = tmp_path / f"{name}.monoid"
+        f.write_text(text)
+        code, _, err = run(capsys, "confluence", str(f))
+        assert code == 1
+        first = parmon.validate(parmon.parse_monoid(text)).violations[0]
+        assert err == (f"error: {f}: not a valid partial monoid; "
+                       f"first violation {first.message}\n")
 
 
 # ------------------------------------------------------------------ normalize
@@ -232,22 +246,23 @@ def test_critical_pairs_letters3_json(capsys):
 
 def _critical_pairs_in_one_piece(m, as_json):
     """The critical-pairs output rendered from the whole fork list at once."""
-    triples = parmon.essential_critical_pairs(m)
-    counts = {k.value: 0 for k in parmon.PairClass}
+    triples = list(parmon.essential_critical_pairs(m))
+    counts = {"A0": 0, "A1": 0, "B": 0}
     for t in triples:
-        counts[t.kind.value] += 1
+        counts[t[5]] += 1
     names = m.elements
     if as_json:
         return json.dumps({
             "triples": [
-                {"x": names[t.x], "y": names[t.y], "z": names[t.z],
-                 "a": names[t.a], "b": names[t.b], "class": t.kind.value}
-                for t in triples],
+                {"x": names[x], "y": names[y], "z": names[z],
+                 "a": names[a], "b": names[b], "class": kind}
+                for x, y, z, a, b, kind in triples],
             "counts": counts,
         }) + "\n"
     lines = ["x y z a b class"]
-    lines += [f"{names[t.x]} {names[t.y]} {names[t.z]} "
-              f"{names[t.a]} {names[t.b]} {t.kind.value}" for t in triples]
+    lines += [f"{names[x]} {names[y]} {names[z]} "
+              f"{names[a]} {names[b]} {kind}"
+              for x, y, z, a, b, kind in triples]
     lines.append(f"counts: A0={counts['A0']} A1={counts['A1']} B={counts['B']}")
     return "\n".join(lines) + "\n"
 
@@ -256,8 +271,8 @@ def _table_files(tmp_path):
     """Both fixtures, du4 and a seeded table with every fork class,
     the last with two A0 witnesses."""
     seeded = parmon.random_monoid(random.Random(5), 12)
-    kinds = {t.kind for t in parmon.essential_critical_pairs(seeded)}
-    assert kinds == set(parmon.PairClass)
+    kinds = {t[5] for t in parmon.essential_critical_pairs(seeded)}
+    assert kinds == {"A0", "A1", "B"}
     assert len(parmon.is_confluent(seeded).a0_witnesses) >= 2
     files = [EX2, LETTERS3]
     for name, m in (("du4", parmon.gen_disjoint_union_monoid(4)),
@@ -278,18 +293,19 @@ def test_critical_pairs_stream_equals_one_piece(capsys, tmp_path):
 
 
 def _confluence_in_one_piece(m, agree):
-    """confluence --json rendered as one dict, with each pair read from
-    EssentialTriple.pair; agree is None without --oracle."""
+    """confluence --json rendered as one dict, with each pair
+    ((a, z), (x, b)) built from the witness; agree is None without
+    --oracle."""
     verdict = parmon.is_confluent(m)
     names = m.elements
     out = {
         "confluent": verdict.confluent,
         "method": "essential",
         "a0_witnesses": [
-            {"x": names[t.x], "y": names[t.y], "z": names[t.z],
-             "a": names[t.a], "b": names[t.b],
-             "pair": [[names[c] for c in w] for w in t.pair]}
-            for t in verdict.a0_witnesses],
+            {"x": names[x], "y": names[y], "z": names[z],
+             "a": names[a], "b": names[b],
+             "pair": [[names[c] for c in w] for w in ((a, z), (x, b))]}
+            for x, y, z, a, b in verdict.a0_witnesses],
     }
     if agree is not None:
         out["oracle_agrees"] = agree

@@ -14,8 +14,14 @@ from oracles import (apply_rule, brute_catenary, brute_chain_violations,
 def classes(triples):
     out = {"A0": 0, "A1": 0, "B": 0}
     for t in triples:
-        out[t.kind.value] += 1
+        out[t[5]] += 1
     return out
+
+
+def pair(fork):
+    """The critical pair ((a, z), (x, b)) of a fork (x, y, z, a, b, ...)."""
+    x, _, z, a, b = fork[:5]
+    return ((a, z), (x, b))
 
 
 # ------------------------------------------------------------------ essential
@@ -26,30 +32,28 @@ def test_essential_pairs_match_brute(ex2, letters3, group2, trivial, du2,
     assert any(m.identity != 0 for m in sample_tables)
     assert any(not P.validate(m).valid for m in sample_tables)
     for m in (ex2, letters3, group2, trivial, du2, *sample_tables):
-        got = [(t.x, t.y, t.z, t.a, t.b, t.kind.value)
-               for t in P.essential_critical_pairs(m)]
-        assert got == brute_classify(m)
+        assert list(P.essential_critical_pairs(m)) == brute_classify(m)
 
 
 def test_essential_counts_ex2(ex2):
-    triples = P.essential_critical_pairs(ex2)
+    triples = list(P.essential_critical_pairs(ex2))
     assert len(triples) == 29
     assert classes(triples) == {"A0": 0, "A1": 7, "B": 22}
 
 
 def test_essential_counts_letters3(letters3):
-    triples = P.essential_critical_pairs(letters3)
+    triples = list(P.essential_critical_pairs(letters3))
     assert len(triples) == 361
     assert classes(triples)["A0"] == 48
 
 
 def test_ex2_named_triples(ex2):
     x, y, z = ex2.index("x"), ex2.index("y"), ex2.index("z")
-    kinds = {(t.x, t.y, t.z): t.kind for t in P.essential_critical_pairs(ex2)}
-    assert kinds[(x, y, y)] is P.PairClass.B
-    assert kinds[(y, y, y)] is P.PairClass.B
-    assert kinds[(y, y, z)] is P.PairClass.B
-    assert kinds[(x, y, z)] is P.PairClass.A1
+    kinds = {t[:3]: t[5] for t in P.essential_critical_pairs(ex2)}
+    assert kinds[(x, y, y)] == "B"
+    assert kinds[(y, y, y)] == "B"
+    assert kinds[(y, y, z)] == "B"
+    assert kinds[(x, y, z)] == "A1"
 
 
 def test_identity_middle_gives_a1(ex2, letters3):
@@ -57,48 +61,47 @@ def test_identity_middle_gives_a1(ex2, letters3):
     for m in (ex2, letters3):
         e = m.identity
         for t in P.essential_critical_pairs(m):
-            if t.y == e and m.mul(t.x, t.z) is None and e not in (t.x, t.z):
-                assert t.kind is P.PairClass.A1
-                assert t.pair[0] == t.pair[1] == (t.x, t.z)
+            x, y, z = t[:3]
+            if y == e and m.mul(x, z) is None and e not in (x, z):
+                assert t[5] == "A1"
+                assert pair(t)[0] == pair(t)[1] == (x, z)
 
 
 def test_first_a0_witness_letters3(letters3):
     a, b, ab, ba = (letters3.index(n) for n in ("a", "b", "ab", "ba"))
-    a0 = [t for t in P.essential_critical_pairs(letters3)
-          if t.kind is P.PairClass.A0]
+    a0 = [t for t in P.essential_critical_pairs(letters3) if t[5] == "A0"]
     first = a0[0]
-    assert (first.x, first.y, first.z) == (a, b, a)
-    assert (first.a, first.b) == (ab, ba)
-    assert first.pair == ((ab, a), (a, ba))
+    assert first[:3] == (a, b, a)
+    assert first[3:5] == (ab, ba)
+    assert pair(first) == ((ab, a), (a, ba))
 
 
 def test_a1_pairs_are_syntactically_equal(ex2, letters3, group2):
     for m in (ex2, letters3, group2):
         for t in P.essential_critical_pairs(m):
-            if t.kind is P.PairClass.A1:
-                assert t.pair[0] == t.pair[1]
-            elif t.kind is P.PairClass.A0:
+            if t[5] == "A1":
+                assert pair(t)[0] == pair(t)[1]
+            elif t[5] == "A0":
                 # a != x or b != z forces the sides apart letterwise
-                assert t.pair[0] != t.pair[1]
+                assert pair(t)[0] != pair(t)[1]
 
 
 def test_b_pairs_converge_in_one_more_step(ex2, letters3, group2):
     # chain law: (x*y)*z = x*(y*z), so both sides contract to one letter
     for m in (ex2, letters3, group2):
-        for t in P.essential_critical_pairs(m):
-            if t.kind is P.PairClass.B:
-                left = m.mul(t.a, t.z)
-                right = m.mul(t.x, t.b)
+        for x, y, z, a, b, kind in P.essential_critical_pairs(m):
+            if kind == "B":
+                left = m.mul(a, z)
+                right = m.mul(x, b)
                 assert left is not None and left == right
 
 
 def test_a0_witnesses_avoid_identity(letters3):
     e = letters3.identity
-    a0 = [t for t in P.essential_critical_pairs(letters3)
-          if t.kind is P.PairClass.A0]
+    a0 = [t for t in P.essential_critical_pairs(letters3) if t[5] == "A0"]
     assert a0
     for t in a0:
-        assert e not in (t.x, t.y, t.z, t.a, t.b)
+        assert e not in t[:5]
 
 
 @settings(max_examples=40, deadline=None)
@@ -107,17 +110,17 @@ def test_a0_witnesses_avoid_identity_random(seed):
     m = P.random_monoid(random.Random(seed))
     e = m.identity
     for t in P.essential_critical_pairs(m):
-        if t.kind is P.PairClass.A0:
-            assert e not in (t.x, t.y, t.z, t.a, t.b)
+        if t[5] == "A0":
+            assert e not in t[:5]
 
 
 def test_trivial_monoid_single_b_row(trivial):
     # the one fork (1,1,1) rejoins immediately; nothing else exists
-    triples = P.essential_critical_pairs(trivial)
+    triples = list(P.essential_critical_pairs(trivial))
     assert len(triples) == 1
     t = triples[0]
-    assert (t.x, t.y, t.z, t.a, t.b) == (0, 0, 0, 0, 0)
-    assert t.kind is P.PairClass.B
+    assert t[:5] == (0, 0, 0, 0, 0)
+    assert t[5] == "B"
 
 
 # ------------------------------------------------------------------ verdicts
@@ -136,21 +139,21 @@ def test_verdict_fields(ex2, letters3):
     assert v.confluent == (not v.a0_witnesses)
     v3 = P.is_confluent(letters3)
     assert len(v3.a0_witnesses) == 48
-    assert all(t.kind is P.PairClass.A0 for t in v3.a0_witnesses)
+    assert all(len(t) == 5 for t in v3.a0_witnesses)
     assert v3.confluent == (not v3.a0_witnesses)
 
 
 def test_a0_witnesses_are_the_a0_essential_pairs(ex2, letters3, du2,
                                                  sample_tables):
     for m in (ex2, letters3, du2, *sample_tables):
-        expected = [t for t in P.essential_critical_pairs(m)
-                    if t.kind is P.PairClass.A0]
+        expected = [t[:5] for t in P.essential_critical_pairs(m)
+                    if t[5] == "A0"]
         assert list(P.is_confluent(m).a0_witnesses) == expected
 
 def test_a0_fork_words_have_multiple_normal_forms(letters3, du2):
     for m in (letters3, du2):
         for t in P.is_confluent(m).a0_witnesses:
-            assert len(P.normal_forms(m, (t.x, t.y, t.z))) >= 2
+            assert len(P.normal_forms(m, t[:3])) >= 2
 
 
 def test_confluent_words_have_one_normal_form(ex2, group2, trivial):
@@ -232,7 +235,7 @@ def test_overlaps_mirror_essential_triples(ex2, letters3, sample_tables):
         overlaps = [(cp.source, cp.pair)
                     for cp in generic_critical_pairs(m)
                     if cp.kind == "overlap"]
-        essential = [((t.x, t.y, t.z), t.pair)
+        essential = [(t[:3], pair(t))
                      for t in P.essential_critical_pairs(m)]
         assert overlaps == essential
 
@@ -332,9 +335,8 @@ def test_mask_walks_match_the_oracles(sample_tables):
     tables = [*sample_tables, *(P.random_monoid(rng, 12) for _ in range(300))]
     verdicts = set()
     for m in tables:
-        a0 = [f for f in brute_classify(m) if f[5] == "A0"]
-        assert [(t.x, t.y, t.z, t.a, t.b, t.kind.value)
-                for t in P.is_confluent(m).a0_witnesses] == a0
+        a0 = [f[:5] for f in brute_classify(m) if f[5] == "A0"]
+        assert list(P.is_confluent(m).a0_witnesses) == a0
         witness = brute_catenary(m)
         assert P.is_catenary(m) == (witness is None, witness)
         converges = all(P.normal_forms(m, u) & P.normal_forms(m, v)

@@ -79,7 +79,7 @@ def test_letters3_find_all_counts_48(letters3):
     # one counterexample per A0 fork at the one-letter level
     report = P.associativity_search(letters3, 1, find_all=True)
     assert len(report.counterexamples) == 48
-    a0 = {(t.x, t.y, t.z) for t in P.is_confluent(letters3).a0_witnesses}
+    a0 = {t[:3] for t in P.is_confluent(letters3).a0_witnesses}
     found = {(c.u[0], c.v[0], c.w[0]) for c in report.counterexamples}
     assert found == a0
     for c in report.counterexamples:
