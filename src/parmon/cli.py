@@ -8,6 +8,7 @@ errors, 3 for a negative verdict.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -44,9 +45,22 @@ def _load_valid(path: str) -> PartialMonoid:
     m = _load(path)
     first = next(chain_violations(m), None)
     if first is not None:
-        raise ValueError(f"{path}: not a valid partial monoid; "
-                         f"first violation {first.message}")
+        raise ValueError(f"{path}: not a valid partial monoid; first violation "
+                         f"{_violation_text(m.elements, first)[-1]}")
     return m
+
+
+def _violation_text(names, violation) -> tuple[str, ...]:
+    """x, y and z by name, then the code and the message of a violation."""
+    x, y, z, left, right = violation
+    nx, ny, nz = names[x], names[y], names[z]
+    xy_z, x_yz = f"({nx} {ny}) {nz}", f"{nx} ({ny} {nz})"
+    if right is None:
+        return nx, ny, nz, "left-only", f"{xy_z} is defined but {x_yz} is not"
+    if left is None:
+        return nx, ny, nz, "right-only", f"{x_yz} is defined but {xy_z} is not"
+    return (nx, ny, nz, "unequal",
+            f"{xy_z} = {names[left]} but {x_yz} = {names[right]}")
 
 
 def _names(m: PartialMonoid, w: Word) -> list[str]:
@@ -57,22 +71,28 @@ def _names(m: PartialMonoid, w: Word) -> list[str]:
 # ------------------------------------------------------------------ commands
 
 def cmd_validate(args) -> int:
+    """One line, or one JSON array element, per violation as the scan yields it."""
     m = _load(args.file)
-    report = validate(m)
+    violations = chain_violations(m)
+    first = next(violations, None)
+    valid = first is None
+    rows = (_violation_text(m.elements, v) for v in
+            (() if valid else itertools.chain((first,), violations)))
+    write = sys.stdout.write
     if args.json:
-        print(json.dumps({
-            "valid": report.valid,
-            "violations": [
-                {"x": m.name(v.x), "y": m.name(v.y), "z": m.name(v.z),
-                 "code": v.code, "message": v.message}
-                for v in report.violations],
-        }))
+        # names match [A-Za-z0-9_]+, so json.dumps quotes as written here
+        write(f'{{"valid": {json.dumps(valid)}, "violations": [')
+        sep = ""
+        for x, y, z, code, message in rows:
+            write(f'{sep}{{"x": "{x}", "y": "{y}", "z": "{z}", '
+                  f'"code": "{code}", "message": "{message}"}}')
+            sep = ", "
+        write("]}\n")
     else:
-        print("valid" if report.valid else "invalid")
-        for v in report.violations:
-            print(f"  {m.name(v.x)} {m.name(v.y)} {m.name(v.z)} "
-                  f"[{v.code}]: {v.message}")
-    return EXIT_OK if report.valid else EXIT_INVALID
+        write("valid\n" if valid else "invalid\n")
+        for x, y, z, code, message in rows:
+            write(f"  {x} {y} {z} [{code}]: {message}\n")
+    return EXIT_OK if valid else EXIT_INVALID
 
 
 def cmd_confluence(args) -> int:

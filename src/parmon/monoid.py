@@ -35,7 +35,7 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 EMPTY_WORD_TOKEN = "eps"
 
-CARRIER_CAP = 256  # largest carrier the generators will build
+CARRIER_CAP = 256  # largest carrier parmon accepts
 
 
 class ParseError(ValueError):
@@ -67,6 +67,7 @@ class PartialMonoid:
         elements = tuple(elements)
         if not elements:
             raise ValueError("a partial monoid needs at least the identity element")
+        _check_cap(len(elements))
         seen = set()
         for name in elements:
             if not isinstance(name, str) or not _NAME_RE.match(name):
@@ -212,7 +213,7 @@ def parse_monoid(text: str) -> PartialMonoid:
         return PartialMonoid(names, identity, products)
     except ValueError as exc:
         # every index and every forced product is checked above, so only
-        # an element name can fail here
+        # the carrier cap or an element name can fail here
         raise ParseError(str(exc), eline)
 
 
@@ -230,17 +231,8 @@ def serialize_monoid(m: PartialMonoid) -> str:
 # ------------------------------------------------------------------ validation
 
 @dataclass(frozen=True)
-class Violation:
-    x: int
-    y: int
-    z: int
-    code: str  # "left-only" | "right-only" | "unequal"
-    message: str
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    violations: tuple[Violation, ...]
+    violations: tuple[tuple, ...]  # as chain_violations yields them
 
     @property
     def valid(self) -> bool:
@@ -252,8 +244,12 @@ def validate(m: PartialMonoid) -> ValidationReport:
     return ValidationReport(tuple(chain_violations(m)))
 
 
-def chain_violations(m: PartialMonoid) -> Iterator[Violation]:
+def chain_violations(m: PartialMonoid) -> Iterator[tuple]:
     """Every violating triple of the chain law, in (x, y, z) order, lazily.
+
+    A violation is the plain tuple (x, y, z, left, right): left is
+    (x*y)*z and right is x*(y*z), None where that chain is undefined.
+    The two differ, so at most one of them is None.
 
     The chain law is associativity of the totalization T: adjoin an
     absorbing zero and send every undefined product to it.  Light's
@@ -268,41 +264,24 @@ def chain_violations(m: PartialMonoid) -> Iterator[Violation]:
     the violations.
     """
     n = len(m.rows)
-    zero = n
     T, times = totalized(m)
 
     if all(T[T[x][y]] == times[y](T[x]) for y in _generators(T, m.identity)
            for x in range(n)):
         return
 
-    names = m.elements
+    chain = (*range(n), None)  # chain[c] is c, or None for the zero
     for x in range(n):
         row_x = T[x]
-        nx = names[x]
         for y in range(n):
             lefts = T[row_x[y]]
             rights = times[y](row_x)
             if lefts == rights:
                 continue
-            ny = names[y]
             for z in range(n):
                 left, right = lefts[z], rights[z]
-                if left == right:
-                    continue
-                nz = names[z]
-                if right == zero:
-                    yield Violation(
-                        x, y, z, "left-only",
-                        f"({nx} {ny}) {nz} is defined but {nx} ({ny} {nz}) is not")
-                elif left == zero:
-                    yield Violation(
-                        x, y, z, "right-only",
-                        f"{nx} ({ny} {nz}) is defined but ({nx} {ny}) {nz} is not")
-                else:
-                    yield Violation(
-                        x, y, z, "unequal",
-                        f"({nx} {ny}) {nz} = {names[left]} but "
-                        f"{nx} ({ny} {nz}) = {names[right]}")
+                if left != right:
+                    yield x, y, z, chain[left], chain[right]
 
 
 def totalized(m: PartialMonoid) -> tuple[list[tuple[int, ...]], list[itemgetter]]:
@@ -395,7 +374,6 @@ def gen_no_common_letters_monoid(letters: Iterable[str]) -> PartialMonoid:
     for r in range(1, len(letters) + 1):
         words.extend("".join(p) for p in
                      sorted(itertools.permutations(letters, r)))
-    _check_cap(len(words))
     names = ["1" if w == "" else w for w in words]
     pos = {w: i for i, w in enumerate(words)}
     products = {}

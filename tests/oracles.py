@@ -35,10 +35,10 @@ def brute_chain_violations(m):
 
 
 def brute_chain_scan(m):
-    """Every chain-law violation as (x, y, z, code), in (x, y, z) order.
+    """Every chain-law violation as (x, y, z, left, right), in (x, y, z) order.
 
-    code is "left-only" when only (x*y)*z is defined, "right-only" when
-    only x*(y*z) is, and "unequal" when both are and they differ.
+    left is (x*y)*z and right is x*(y*z), None where that chain is
+    undefined; a triple violates the law when the two differ.
     """
     t = table_of(m)
     n = len(m.elements)
@@ -46,14 +46,8 @@ def brute_chain_scan(m):
     for x, y, z in itertools.product(range(n), repeat=3):
         left = t.get((t[(x, y)], z)) if (x, y) in t else None
         right = t.get((x, t[(y, z)])) if (y, z) in t else None
-        if left is None and right is None:
-            continue
-        if right is None:
-            out.append((x, y, z, "left-only"))
-        elif left is None:
-            out.append((x, y, z, "right-only"))
-        elif left != right:
-            out.append((x, y, z, "unequal"))
+        if left != right:
+            out.append((x, y, z, left, right))
     return out
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import parmon
 from parmon import cli
+from parmon.monoid import chain_violations
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -148,9 +149,70 @@ def test_confluence_rejects_invalid(capsys, tmp_path):
         f.write_text(text)
         code, _, err = run(capsys, "confluence", str(f))
         assert code == 1
-        first = parmon.validate(parmon.parse_monoid(text)).violations[0]
+        m = parmon.parse_monoid(text)
+        *_, message = cli._violation_text(m.elements, next(chain_violations(m)))
         assert err == (f"error: {f}: not a valid partial monoid; "
-                       f"first violation {first.message}\n")
+                       f"first violation {message}\n")
+
+
+def _validate_in_one_piece(m, as_json):
+    """validate's output rendered in one piece from the violation tuples;
+    as_json gives the dict list {"x", "y", "z", "code", "message"}."""
+    names = m.elements
+    report = parmon.validate(m)
+    rows = [cli._violation_text(names, v) for v in report.violations]
+    if as_json:
+        return json.dumps({
+            "valid": report.valid,
+            "violations": [{"x": x, "y": y, "z": z, "code": code,
+                            "message": message}
+                           for x, y, z, code, message in rows],
+        }) + "\n"
+    lines = ["valid" if report.valid else "invalid"]
+    lines += [f"  {x} {y} {z} [{code}]: {message}"
+              for x, y, z, code, message in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _invalid_edits(seed, count):
+    """count seeded random tables, each with one non-identity product
+    changed or removed so that the table fails validation."""
+    rng = random.Random(seed)
+    edits = []
+    while len(edits) < count:
+        m = parmon.random_monoid(rng, 8)
+        rest = m.non_identity()
+        if not rest:
+            continue
+        products = {(x, y): z for x, y, z in m.products}
+        key = (rng.choice(rest), rng.choice(rest))
+        z = rng.choice([None, *range(m.size)])
+        if z is None:
+            products.pop(key, None)
+        else:
+            products[key] = z
+        e = parmon.PartialMonoid(m.elements, m.identity, products)
+        if not parmon.validate(e).valid:
+            edits.append(e)
+    return edits
+
+
+def test_validate_stream_equals_one_piece(capsys, tmp_path):
+    tables = [BROKEN, _fully_violating(8)]
+    tables += [parmon.serialize_monoid(e) for e in _invalid_edits(3, 12)]
+    codes = set()
+    for i, text in enumerate(tables):
+        f = tmp_path / f"t{i}.monoid"
+        f.write_text(text, encoding="utf-8")
+        m = parmon.parse_monoid(text)
+        for as_json in (False, True):
+            flags = ["--json"] if as_json else []
+            code, out, err = run(capsys, "validate", str(f), *flags)
+            assert (code, err) == (cli.EXIT_INVALID, "")
+            assert out == _validate_in_one_piece(m, as_json)
+        codes |= {cli._violation_text(m.elements, v)[3]
+                  for v in chain_violations(m)}
+    assert codes == {"left-only", "right-only", "unequal"}
 
 
 # ------------------------------------------------------------------ normalize
@@ -349,6 +411,20 @@ def test_golden_output(capsys, fixture, argv, slug):
     assert err == ""
     negative = fixture == "letters3" and argv[0] in ("confluence", "assoc-test")
     assert code == (cli.EXIT_NEGATIVE if negative else cli.EXIT_OK)
+
+
+@pytest.mark.parametrize("table", ["broken", "violating6"])
+@pytest.mark.parametrize("flags, slug", [([], "validate"),
+                                         (["--json"], "validate-json")])
+def test_golden_validate_invalid(capsys, tmp_path, table, flags, slug):
+    # BROKEN has a left-only and a right-only violation; the fully
+    # violating table on six elements has 125 unequal ones
+    text = BROKEN if table == "broken" else _fully_violating(6)
+    path = tmp_path / f"{table}.monoid"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path), *flags)
+    expected = (GOLDEN / f"{table}.{slug}.txt").read_text(encoding="utf-8")
+    assert (code, out, err) == (cli.EXIT_INVALID, expected, "")
 
 
 IDENTITY_WORDS = {"ex2": "1 x 1 y y 1 z 1", "letters3": "1 a b 1 c a 1 b a 1"}
@@ -604,6 +680,22 @@ def test_random_check_carrier_over_cap(capsys):
     assert code == cli.EXIT_INVALID
     assert out == ""
     assert err == "error: carrier size 300 exceeds cap 256\n"
+
+
+def test_parsed_carrier_cap(capsys, tmp_path):
+    # a file is held to the same 256-element cap as the generators, on
+    # its elements: line, before any product line is read
+    for size, expected in ((257, cli.EXIT_INVALID), (256, cli.EXIT_OK)):
+        path = tmp_path / f"null{size}.monoid"
+        names = " ".join(f"e{i}" for i in range(size))
+        path.write_text(f"# no products\nelements: {names}\nidentity: e0\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == expected
+        if size > 256:
+            assert (out, err) == ("", f"error: {path}: line 2: carrier size "
+                                      f"{size} exceeds cap 256\n")
+        else:
+            assert (out, err) == ("valid\n", "")
 
 
 # ------------------------------------------------------------------ usage

@@ -156,13 +156,10 @@ def test_broken_table_left_only_witness():
     m = P.parse_monoid("elements: 1 x y a\nidentity: 1\nx y = a\na a = a\n")
     report = P.validate(m)
     assert not report.valid
-    flagged = {(v.x, v.y, v.z): v.code for v in report.violations}
     x, y, a = m.index("x"), m.index("y"), m.index("a")
-    assert flagged[(x, y, a)] == "left-only"
-    assert flagged == {(x, y, a): "left-only", (a, x, y): "right-only"}
-    assert brute_chain_violations(m) == set(flagged)
-    messages = [v.message for v in report.violations]
-    assert "(x y) a is defined but x (y a) is not" in messages
+    # (x y) a = a a = a but y a is undefined; a x is undefined but a (x y) = a
+    assert set(report.violations) == {(x, y, a, a, None), (a, x, y, None, a)}
+    assert brute_chain_violations(m) == {v[:3] for v in report.violations}
 
 
 def test_broken_table_right_only_witness():
@@ -170,9 +167,9 @@ def test_broken_table_right_only_witness():
     m = P.parse_monoid("elements: 1 x y a\nidentity: 1\nx y = a\ny a = a\n")
     report = P.validate(m)
     assert not report.valid
-    flagged = {(v.x, v.y, v.z): v.code for v in report.violations}
+    flagged = {v[:3]: v[3:] for v in report.violations}
     y = m.index("y")
-    assert all(code == "right-only" for code in flagged.values())
+    assert all(left is None for left, _ in flagged.values())
     assert (y, m.index("x"), y) in flagged
     assert brute_chain_violations(m) == set(flagged)
 
@@ -182,9 +179,8 @@ def test_broken_table_unequal_witness():
         "elements: 1 p q\nidentity: 1\n"
         "p p = q\np q = p\nq p = q\nq q = q\n")
     report = P.validate(m)
-    codes = {v.code for v in report.violations}
-    assert "unequal" in codes
-    assert brute_chain_violations(m) == {(v.x, v.y, v.z) for v in report.violations}
+    assert any(None not in v[3:] for v in report.violations)
+    assert brute_chain_violations(m) == {v[:3] for v in report.violations}
 
 
 @settings(max_examples=60, deadline=None)
@@ -200,20 +196,21 @@ def test_validate_agrees_with_brute_oracle_on_random_tables(data):
             products[(x, y)] = z
     m = P.PartialMonoid([f"e{i}" if i else "1" for i in range(n)], 0, products)
     report = P.validate(m)
-    assert {(v.x, v.y, v.z) for v in report.violations} == brute_chain_violations(m)
-    assert [(v.x, v.y, v.z, v.code) for v in report.violations] == brute_chain_scan(m)
+    assert {v[:3] for v in report.violations} == brute_chain_violations(m)
+    assert list(report.violations) == brute_chain_scan(m)
 
 
 def test_validate_lists_violations_in_scan_order(du2, sample_tables):
-    # the ordered list, codes included, and the totalized product's witnesses
+    # the ordered list, both chains included, and the totalized product's
+    # witnesses
     fixtures = [P.parse_monoid((FIXTURES / f"{name}.monoid").read_text())
                 for name in ("ex2", "letters3")]
     tables = fixtures + [du2] + sample_tables
     assert any(not P.validate(m).valid for m in tables)
     for m in tables:
         report = P.validate(m)
-        assert [(v.x, v.y, v.z, v.code) for v in report.violations] == brute_chain_scan(m)
-        assert ({(v.x, v.y, v.z) for v in report.violations}
+        assert list(report.violations) == brute_chain_scan(m)
+        assert ({v[:3] for v in report.violations}
                 == set(total_associativity_witnesses(totalize(m))))
 
 
@@ -251,8 +248,7 @@ def test_validate_verdict_on_every_one_product_edit(ex2, letters3):
 
 def test_validation_report_valid_property():
     assert P.ValidationReport(()).valid
-    v = P.Violation(0, 0, 0, "left-only", "msg")
-    assert not P.ValidationReport((v,)).valid
+    assert not P.ValidationReport(((0, 0, 0, 0, None),)).valid
 
 
 # ------------------------------------------------------------------ totalization
@@ -288,7 +284,7 @@ def test_total_associativity_oracle_flags_same_triples():
     m = P.parse_monoid("elements: 1 x y a\nidentity: 1\nx y = a\na a = a\n")
     witnesses = set(total_associativity_witnesses(totalize(m)))
     assert witnesses == brute_chain_violations(m)
-    assert witnesses == {(v.x, v.y, v.z) for v in P.validate(m).violations}
+    assert witnesses == {v[:3] for v in P.validate(m).violations}
 
 
 # ------------------------------------------------------------------ probes
@@ -404,6 +400,8 @@ def test_carrier_cap_env_override(monkeypatch):
     with pytest.raises(ValueError, match="carrier size 512 exceeds cap 256"):
         P.gen_disjoint_union_monoid(9, cap=9)
     assert P.gen_disjoint_union_monoid(8, cap=8).size == 256
+    with pytest.raises(ValueError, match="carrier size 257 exceeds cap 256"):
+        P.PartialMonoid([f"e{i}" for i in range(257)], 0, {})
 
 
 # ------------------------------------------------------------------ random monoids
