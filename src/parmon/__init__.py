@@ -8,8 +8,7 @@ from .magma import (Leaf, Node, Tree, evaluate, format_tree, leaf_labels,
 from .monoid import (ParseError, PartialMonoid, ValidationReport,
                      gen_disjoint_union_monoid, gen_no_common_letters_monoid,
                      parse_monoid, random_monoid, serialize_monoid, validate)
-from .rewriting import (ReductionTrace, TraceStep, convertible_bounded, lstd,
-                        lstd_trace, normal_forms, one_step_reductions)
+from .rewriting import convertible_bounded, lstd, lstd_trace, normal_forms
 from .star import (AssocCounterexample, AssocReport, assoc_modulo_congruence,
                    associativity_search, star)
 from .words import (EMPTY, Word, enumerate_irreducible, format_word,

@@ -145,25 +145,25 @@ def cmd_normalize(args) -> int:
                 print(format_word(m, f))
         return EXIT_OK
     if args.trace:
-        trace = lstd_trace(m, w)
-        if args.json:
-            for step in trace.steps:
-                print(json.dumps({"word": _names(m, step.source),
-                                  "rule": step.rule,
-                                  "position": step.position}))
-            print(json.dumps({"word": _names(m, trace.result)}))
-        else:
-            for step in trace.steps:
-                print(f"{format_word(m, step.source)}  "
-                      f"--[{step.rule} @ {step.position}]-->")
-            print(format_word(m, trace.result))
-        return EXIT_OK
+        # one line per move as lstd_trace yields it: the identity letter
+        # at i erases (z is None), or the pair at i contracts to z
+        names = m.elements
+        for source, i, z in lstd_trace(m, w):
+            lhs = names[source[i]] if z is None else f"{names[source[i]]} {names[source[i + 1]]}"
+            rule = f"{lhs} -> {'eps' if z in (None, m.identity) else names[z]}"
+            if args.json:
+                print(json.dumps({"word": _names(m, source), "rule": rule,
+                                  "position": i}))
+            else:
+                print(f"{format_word(m, source)}  --[{rule} @ {i}]-->")
     result = lstd(m, w)
-    if args.json:
+    if not args.json:
+        print(format_word(m, result))
+    elif args.trace:
+        print(json.dumps({"word": _names(m, result)}))
+    else:
         print(json.dumps({"input": _names(m, w),
                           "normal_form": _names(m, result)}))
-    else:
-        print(format_word(m, result))
     return EXIT_OK
 
 

@@ -19,7 +19,6 @@ steps, which lstd_trace and the conversions of parmon.magma read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .monoid import PartialMonoid
@@ -36,12 +35,6 @@ def _steps(m: PartialMonoid, w: Word) -> Iterator[tuple[int, Word]]:
         z = rows[w[i]][w[i + 1]]
         if z is not None:
             yield i, w[:i] + (z,) + w[i + 2:]
-
-
-def one_step_reductions(m: PartialMonoid, w: Word) -> set[tuple[int, Word]]:
-    """All single reduction steps as (position, result) pairs."""
-    check_word(m, w)
-    return set(_steps(m, w))
 
 
 MAX_REACHABLE_WORDS = 1_000_000  # most words normal_forms will visit
@@ -136,47 +129,31 @@ def _apply(w: Word, i: int, z: Optional[int]) -> Word:
     return w[:i] + w[i + 1:] if z is None else w[:i] + (z,) + w[i + 2:]
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    source: Word
-    rule: str
-    position: int
-    result: Word
+def lstd_trace(m: PartialMonoid, w: Word) -> Iterator[tuple[Word, int, Optional[int]]]:
+    """The left standard moves of w, yielded lazily as (source, i, z).
 
-
-@dataclass(frozen=True)
-class ReductionTrace:
-    """The left standard run as explicit steps; start == result when irreducible."""
-
-    start: Word
-    steps: tuple[TraceStep, ...]
-
-    @property
-    def result(self) -> Word:
-        return self.steps[-1].result if self.steps else self.start
-
-
-def lstd_trace(m: PartialMonoid, w: Word) -> ReductionTrace:
-    """lstd with bookkeeping: identity erasures first, then contractions."""
+    z is None: the identity letter at i erases.  z is the identity: the
+    pair at i annihilates, both letters going in one move.  Otherwise
+    the pair at i contracts to z.  Identity erasures come first,
+    leftmost first, then the recorded moves of the stack pass; the word
+    after the last move is lstd(w).  The letters are checked here, at
+    the call, not at the first move.
+    """
     check_word(m, w)
-    identity, name = m.identity, m.name
-    steps = []
-    cur = w
-    while identity in cur:
-        i = cur.index(identity)
-        nxt = _apply(cur, i, None)
-        steps.append(TraceStep(cur, f"{name(identity)} -> eps", i, nxt))
-        cur = nxt
-    moves = _lstd_moves(m, cur)
+    return _trace(m, w)
+
+
+def _trace(m: PartialMonoid, w: Word) -> Iterator[tuple[Word, int, Optional[int]]]:
+    while m.identity in w:
+        i = w.index(m.identity)
+        yield w, i, None
+        w = _apply(w, i, None)
+    moves = _lstd_moves(m, w)
     for i, z in moves:
-        nxt = _apply(cur, i, z)
-        if z == identity:  # the pair annihilates: its erasure is this move too
-            nxt = _apply(nxt, *next(moves))
-        rhs = "eps" if z == identity else name(z)
-        steps.append(TraceStep(cur, f"{name(cur[i])} {name(cur[i + 1])} -> {rhs}",
-                               i, nxt))
-        cur = nxt
-    return ReductionTrace(w, tuple(steps))
+        yield w, i, z
+        w = _apply(w, i, z)
+        if z == m.identity:  # the pair annihilates: its erasure is this move too
+            w = _apply(w, *next(moves))
 
 
 # ------------------------------------------------------------------ convertibility

@@ -29,7 +29,7 @@ def is_irreducible(m: PartialMonoid, w: Word) -> bool:
     return all(rows[x][y] is None for x, y in zip(w, w[1:]))
 
 
-MAX_IRREDUCIBLE_WORDS = 1_000_000  # most words enumerate_irreducible returns
+MAX_IRREDUCIBLE_LETTERS = 1_000_000  # most letters enumerate_irreducible holds
 
 
 def enumerate_irreducible(m: PartialMonoid, max_len: int) -> list[Word]:
@@ -37,23 +37,24 @@ def enumerate_irreducible(m: PartialMonoid, max_len: int) -> list[Word]:
 
     Grows layer by layer: a word of length k+1 is irreducible exactly
     when its length-k prefix is and the appended letter neither is the
-    identity nor composes with the last letter.  MAX_IRREDUCIBLE_WORDS
-    is checked as a layer grows, so an overflowing layer is never built
-    in full.
+    identity nor composes with the last letter.  The letters of the
+    words held are checked against MAX_IRREDUCIBLE_LETTERS as a layer
+    grows, so an overflowing layer is never built in full.
     """
-    cap = MAX_IRREDUCIBLE_WORDS
+    cap = MAX_IRREDUCIBLE_LETTERS
     out: list[Word] = [EMPTY]
     layer: list[Word] = [EMPTY]
+    held = 0  # letters of the words in out
     letters = m.non_identity()
     # follow[x]: the letters that may come right after x
     follow = [tuple(c for c in letters if row[c] is None) for row in m.rows]
-    for _ in range(max_len):
+    for k in range(1, max_len + 1):
         nxt: list[Word] = []
         for w in layer:
             nxt.extend(w + (c,) for c in (follow[w[-1]] if w else letters))
-            if len(out) + len(nxt) > cap:
-                raise ValueError(f"more than {cap} irreducible words; "
-                                 "lower max_len")
+            if held + k * len(nxt) > cap:
+                raise ValueError(f"more than {cap} letters of irreducible words; lower max_len")
+        held += k * len(nxt)
         out.extend(nxt)
         if not nxt:
             break
@@ -74,6 +75,5 @@ def parse_word(m: PartialMonoid, text: str) -> Word:
 
 
 def format_word(m: PartialMonoid, w: Word) -> str:
-    if not w:
-        return EMPTY_WORD_TOKEN
-    return "·".join(m.name(c) for c in w)
+    check_word(m, w)
+    return "·".join([m.elements[c] for c in w]) if w else EMPTY_WORD_TOKEN

@@ -202,10 +202,19 @@ def iterated_left_standard(m, w):
     defined pair contracts, and a pair whose product is the identity
     vanishes in the same move.  The reference lstd is compared against.
     """
+    return left_standard_schedule(m, w)[-1]
+
+
+def left_standard_schedule(m, w):
+    """Every word of the left standard schedule from w: w first, lstd last.
+
+    The reference lstd_trace's source words are compared against.
+    """
     t = table_of(m)
-    while (nxt := _schedule_step(t, m.identity, w)) is not None:
-        w = nxt
-    return w
+    words = [w]
+    while (nxt := _schedule_step(t, m.identity, words[-1])) is not None:
+        words.append(nxt)
+    return words
 
 
 def left_standard_successors(m, w):

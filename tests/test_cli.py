@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmon
+from conftest import GROUP2_TEXT
 from parmon import cli
 from parmon.monoid import chain_violations
 
@@ -427,6 +428,18 @@ def test_golden_validate_invalid(capsys, tmp_path, table, flags, slug):
     assert (code, out, err) == (cli.EXIT_INVALID, expected, "")
 
 
+@pytest.mark.parametrize("flags, slug", [([], "normalize-trace"),
+                                         (["--json"], "normalize-trace-json")])
+def test_golden_trace_annihilating_pairs(capsys, tmp_path, flags, slug):
+    # g g = 1: an identity erasure, then two "g g -> eps" moves
+    path = tmp_path / "group2.monoid"
+    path.write_text(GROUP2_TEXT, encoding="utf-8")
+    code, out, err = run(capsys, "normalize", str(path), "g", "1", "g", "g",
+                         "g", "--trace", *flags)
+    expected = (GOLDEN / f"group2.{slug}.txt").read_text(encoding="utf-8")
+    assert (code, out, err) == (cli.EXIT_OK, expected, "")
+
+
 IDENTITY_WORDS = {"ex2": "1 x 1 y y 1 z 1", "letters3": "1 a b 1 c a 1 b a 1"}
 TREE12 = "((b (b b)) ((((a ((b b) c)) (c b)) (c a)) c))"
 
@@ -523,15 +536,30 @@ def test_assoc_letters3_length2_all_json(capsys):
 # ------------------------------------------------------------------ simulate
 
 def test_assoc_too_many_words_is_an_error_line(capsys):
-    # the enumeration's ValueError becomes an error: line, not a traceback
-    code, out, err = run(capsys, "assoc-test", LETTERS3, "--max-len", "9")
-    assert code == cli.EXIT_INVALID
-    assert out == ""
-    assert err == "error: more than 1000000 irreducible words; lower max_len\n"
+    # the enumeration's ValueError becomes an error: line, not a traceback;
+    # at length 5 the words outgrow the letter cap before their pairs count
+    for max_len in ("5", "9"):
+        code, out, err = run(capsys, "assoc-test", LETTERS3, "--max-len", max_len)
+        assert code == cli.EXIT_INVALID
+        assert out == ""
+        assert err == ("error: more than 1000000 letters of irreducible words; "
+                       "lower max_len\n")
+
+
+def test_assoc_one_letter_table_hits_the_letter_cap(capsys, tmp_path):
+    # one irreducible word per length: 8,000 lengths would hold 32 M
+    # letters, so the cap ends the enumeration near length 1,414
+    path = tmp_path / "one-letter.monoid"
+    path.write_text("elements: 1 q\nidentity: 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "assoc-test", str(path), "--max-len", "8000")
+    assert (code, out) == (cli.EXIT_INVALID, "")
+    assert err == ("error: more than 1000000 letters of irreducible words; "
+                   "lower max_len\n")
 
 
 def test_assoc_too_many_composing_pairs_is_an_error_line(capsys):
-    # 43,387 words fit the word cap, but their composing pairs do not
+    # 43,387 words (170,196 letters) fit the letter cap, but their
+    # composing pairs do not
     code, out, err = run(capsys, "assoc-test", LETTERS3, "--max-len", "4")
     assert code == cli.EXIT_INVALID
     assert out == ""
@@ -762,21 +790,26 @@ def test_installed_entry_point():
 
 def test_closed_pipe_ends_quietly(tmp_path):
     # as under `| head -1`: exit 1 and an empty stderr, not a
-    # BrokenPipeError traceback.  The output, over 100 kB, outgrows the
+    # BrokenPipeError traceback.  Each output, over 100 kB, outgrows the
     # pipe buffer, so the child is still writing when the pipe closes.
     path = tmp_path / "letters4.monoid"
     path.write_text(parmon.serialize_monoid(
         parmon.gen_no_common_letters_monoid("abcd")))
+    word = ["a", "b", "c"] * 200  # 400 trace lines of up to 1.8 kB
+    cases = [(["critical-pairs", str(path)], "x y z a b class\n"),
+             (["normalize", LETTERS3, *word, "--trace"],
+              "·".join(word) + "  --[a b -> ab @ 0]-->\n")]
     cmd, env = _entry_point_command()
-    with subprocess.Popen(cmd + ["critical-pairs", str(path)],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True, env=env) as proc:
-        assert proc.stdout.readline() == "x y z a b class\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.wait(timeout=60)
-    assert proc.returncode == cli.EXIT_INVALID
-    assert err == ""
+    for argv, first in cases:
+        with subprocess.Popen(cmd + argv,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, env=env) as proc:
+            assert proc.stdout.readline() == first
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.wait(timeout=60)
+        assert proc.returncode == cli.EXIT_INVALID, argv[0]
+        assert err == "", argv[0]
 
 
 # ------------------------------------------------------------------ README

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 import parmon as P
 from conftest import wrd
 from oracles import (brute_normal_forms, brute_one_step, brute_reachable,
-                     iterated_left_standard, left_standard_successors)
+                     iterated_left_standard, left_standard_schedule,
+                     left_standard_successors)
+from parmon import cli
+from parmon.rewriting import _steps
 
 
 def all_words(m, max_len):
@@ -22,43 +26,55 @@ def is_conversion_path(m, path, u, v):
     if path[0] != u or path[-1] != v:
         return False
     for p, q in zip(path, path[1:]):
-        down = {r for _, r in P.one_step_reductions(m, p)}
-        up = {r for _, r in P.one_step_reductions(m, q)}
-        if q not in down and p not in up:
+        if q not in brute_one_step(m, p) and p not in brute_one_step(m, q):
             return False
     return True
+
+
+def after(m, move):
+    """The word a move (source, i, z) of lstd_trace makes of its source."""
+    source, i, z = move
+    if z is None:
+        return source[:i] + source[i + 1:]
+    if z == m.identity:
+        return source[:i] + source[i + 2:]
+    return source[:i] + (z,) + source[i + 2:]
+
+
+def steps(m, w):
+    """The single reduction steps of w, as a set of (position, result)."""
+    return set(_steps(m, w))
 
 
 # ------------------------------------------------------------------ one-step
 
 def test_one_step_examples(ex2, letters3):
     y, z = ex2.index("y"), ex2.index("z")
-    assert P.one_step_reductions(ex2, (y, y, z)) == {(0, (y, z)), (1, (y, z))}
+    assert steps(ex2, (y, y, z)) == {(0, (y, z)), (1, (y, z))}
     a, b, ab, ba = (letters3.index(n) for n in ("a", "b", "ab", "ba"))
-    assert P.one_step_reductions(letters3, (a, b, a)) == {(0, (ab, a)),
-                                                         (1, (a, ba))}
-    assert P.one_step_reductions(ex2, ()) == set()
-    assert P.one_step_reductions(ex2, (ex2.identity,)) == {(0, ())}
+    assert steps(letters3, (a, b, a)) == {(0, (ab, a)), (1, (a, ba))}
+    assert steps(ex2, ()) == set()
+    assert steps(ex2, (ex2.identity,)) == {(0, ())}
 
 
 def test_one_step_matches_brute(ex2, letters3, group2):
     for m in (ex2, letters3, group2):
         for w in all_words(m, 4):
-            got = {r for _, r in P.one_step_reductions(m, w)}
+            got = {r for _, r in _steps(m, w)}
             assert got == brute_one_step(m, w)
 
 
 def test_every_step_shortens_by_one(ex2, letters3, group2, du2):
     for m in (ex2, letters3, group2, du2):
         for w in all_words(m, 4):
-            for _, r in P.one_step_reductions(m, w):
+            for _, r in _steps(m, w):
                 assert len(r) == len(w) - 1
 
 
 def test_irreducible_iff_no_steps(ex2, letters3):
     for m in (ex2, letters3):
         for w in all_words(m, 4):
-            assert (not P.one_step_reductions(m, w)) == P.is_irreducible(m, w)
+            assert (not steps(m, w)) == P.is_irreducible(m, w)
 
 
 # ------------------------------------------------------------------ normal forms
@@ -125,7 +141,6 @@ def test_normal_forms_erase_identity_letters_first(ex2):
 WORD_FUNCTIONS = {
     "lstd": P.lstd,
     "is_irreducible": P.is_irreducible,
-    "one_step_reductions": P.one_step_reductions,
     "normal_forms": P.normal_forms,
     "lstd_trace": P.lstd_trace,
     "convertible_bounded": lambda m, w: P.convertible_bounded(m, w, w),
@@ -152,18 +167,17 @@ def test_decomposition_finds_leftmost_pair(ex2, letters3, group2):
     # a reducible identity-free word's first trace move contracts its
     # leftmost defined pair, right after its longest irreducible prefix
     x, y, z = ex2.index("x"), ex2.index("y"), ex2.index("z")
-    first = P.lstd_trace(ex2, (x, x, y, z)).steps[0]
-    assert (first.rule, first.position, first.result) == ("x y -> x", 1, (x, x, z))
+    first = next(P.lstd_trace(ex2, (x, x, y, z)))
+    assert first == ((x, x, y, z), 1, x)
+    assert after(ex2, first) == (x, x, z)
     for m in (ex2, letters3, group2):
         for w in all_words(m, 5):
             if m.identity in w or P.is_irreducible(m, w):
                 continue
-            s = P.lstd_trace(m, w).steps[0]
-            i = s.position
-            assert s.source == w
-            assert m.mul(w[i], w[i + 1]) is not None
+            source, i, z = next(P.lstd_trace(m, w))
+            assert source == w
+            assert z is not None and m.mul(w[i], w[i + 1]) == z
             assert P.is_irreducible(m, w[:i + 1])
-            assert s.rule.startswith(f"{m.name(w[i])} {m.name(w[i + 1])} -> ")
 
 
 def test_annihilating_pair_forces_empty_prefix(group2, ex2):
@@ -172,9 +186,9 @@ def test_annihilating_pair_forces_empty_prefix(group2, ex2):
     seen = 0
     for m in (group2, ex2):
         for w in all_words(m, 5):
-            for s in P.lstd_trace(m, w).steps:
-                if s.rule.endswith("-> eps") and len(s.rule.split()) == 4:
-                    assert s.position == 0
+            for _, i, z in P.lstd_trace(m, w):
+                if z == m.identity:
+                    assert i == 0
                     seen += 1
     assert seen > 0
 
@@ -184,20 +198,19 @@ def test_annihilating_pair_forces_empty_prefix(group2, ex2):
 def test_left_standard_step_phases(ex2):
     e, x, y, z = ex2.identity, ex2.index("x"), ex2.index("y"), ex2.index("z")
     # identity erasure first, leftmost identity first
-    t = P.lstd_trace(ex2, (x, e, y, e))
-    assert [(s.rule, s.position, s.result) for s in t.steps] == [
-        ("1 -> eps", 1, (x, y, e)), ("1 -> eps", 2, (x, y)), ("x y -> x", 0, (x,))]
+    assert list(P.lstd_trace(ex2, (x, e, y, e))) == [
+        ((x, e, y, e), 1, None), ((x, y, e), 2, None), ((x, y), 0, x)]
     # then the leftmost contraction
-    assert P.lstd_trace(ex2, (x, y, y, z)).steps[0].result == (x, y, z)
+    assert after(ex2, next(P.lstd_trace(ex2, (x, y, y, z)))) == (x, y, z)
 
 
 def test_left_standard_step_annihilation(group2):
-    g = group2.index("g")
+    g, e = group2.index("g"), group2.identity
     # g g contracts to the identity which erases in the same move
     for w, result in (((g, g), ()), ((g, g, g), (g,))):
-        t = P.lstd_trace(group2, w)
-        assert [(s.rule, s.position, s.result) for s in t.steps] == [
-            ("g g -> eps", 0, result)]
+        moves = list(P.lstd_trace(group2, w))
+        assert moves == [(w, 0, e)]
+        assert after(group2, moves[0]) == result == P.lstd(group2, w)
 
 
 def test_successors_are_a_subset_of_two_step_reduction(ex2, letters3, group2):
@@ -205,15 +218,14 @@ def test_successors_are_a_subset_of_two_step_reduction(ex2, letters3, group2):
     # the reference relation's moves, and each move lstd_trace records
     for m in (ex2, letters3, group2):
         for w in all_words(m, 4):
-            one = {r for _, r in P.one_step_reductions(m, w)}
-            two = one | {r2 for u in one
-                         for _, r2 in P.one_step_reductions(m, u)}
+            one = brute_one_step(m, w)
+            two = one | {r2 for u in one for r2 in brute_one_step(m, u)}
             for s in left_standard_successors(m, w):
                 assert s in two
             # the trace's later moves are the first moves of shorter words
-            for s in P.lstd_trace(m, w).steps[:1]:
-                annihilation = s.rule.endswith("-> eps") and len(s.rule.split()) == 4
-                assert s.result in (two if annihilation else one)
+            for move in itertools.islice(P.lstd_trace(m, w), 1):
+                annihilation = move[2] == m.identity
+                assert after(m, move) in (two if annihilation else one)
 
 
 def test_recorded_moves_are_plain_steps(ex2, letters3, group2, sample_tables):
@@ -227,7 +239,7 @@ def test_recorded_moves_are_plain_steps(ex2, letters3, group2, sample_tables):
             word = w
             for i, z in P.rewriting._lstd_moves(m, w):
                 nxt = P.rewriting._apply(word, i, z)
-                assert (i, nxt) in P.one_step_reductions(m, word)
+                assert (i, nxt) in steps(m, word)
                 word = nxt
             assert word == P.lstd(m, w)
 
@@ -307,9 +319,9 @@ def test_reduction_is_right_congruent(ex2, letters3):
     # u -> u' lifts to u v -> u' v at the same position
     for m in (ex2, letters3):
         for u in all_words(m, 3):
-            for pos, r in P.one_step_reductions(m, u):
+            for pos, r in _steps(m, u):
                 for v in all_words(m, 2):
-                    assert (pos, r + v) in P.one_step_reductions(m, u + v)
+                    assert (pos, r + v) in steps(m, u + v)
 
 
 def test_schedule_closure_reaches_exactly_lstd(ex2, letters3, group2):
@@ -335,45 +347,88 @@ def test_schedule_closure_reaches_exactly_lstd(ex2, letters3, group2):
 # ------------------------------------------------------------------ traces
 
 def test_lstd_trace_structure(ex2):
+    # the rule text of these moves, "1 -> eps" and "x y -> x", is the
+    # CLI's: tests/test_cli.py::test_normalize_trace pins it
     e, x, y, z = ex2.identity, ex2.index("x"), ex2.index("y"), ex2.index("z")
-    t = P.lstd_trace(ex2, (x, e, y, z))
-    assert t.start == (x, e, y, z)
-    assert t.result == P.lstd(ex2, (x, e, y, z)) == (x, z)
-    # steps chain source -> result
-    assert t.steps[0].source == t.start
-    for a, b in zip(t.steps, t.steps[1:]):
-        assert a.result == b.source
+    moves = list(P.lstd_trace(ex2, (x, e, y, z)))
+    assert moves[0][0] == (x, e, y, z)
+    # moves chain source -> source, and the last one reaches lstd
+    for a, b in zip(moves, moves[1:]):
+        assert after(ex2, a) == b[0]
+    assert after(ex2, moves[-1]) == P.lstd(ex2, (x, e, y, z)) == (x, z)
     # erasure happens before any contraction
-    assert [s.rule for s in t.steps] == ["1 -> eps", "x y -> x"]
-    assert [s.position for s in t.steps] == [1, 0]
+    assert [(i, z) for _, i, z in moves] == [(1, None), (0, x)]
 
 
 def test_lstd_trace_rules_and_positions(ex2, letters3, group2):
     for m in (ex2, letters3, group2):
         for w in all_words(m, 4):
-            t = P.lstd_trace(m, w)
-            assert t.start == w
-            assert t.result == P.lstd(m, w)
-            # each step drops one letter, or two on an annihilation
-            shrink = len(w) - len(t.result)
-            assert shrink / 2 <= len(t.steps) <= shrink
-            for s in t.steps:
-                assert s.result in {r for _, r in
-                                    P.one_step_reductions(m, s.source)} \
-                    or len(s.source) - len(s.result) == 2  # annihilation
+            moves = list(P.lstd_trace(m, w))
+            word = w
+            for move in moves:
+                source, i, z = move
+                assert source == word
+                nxt = after(m, move)
+                if z is None:
+                    assert source[i] == m.identity
+                else:
+                    assert m.mul(source[i], source[i + 1]) == z
+                if z == m.identity:  # annihilation: two plain steps
+                    assert nxt in {r2 for r in brute_one_step(m, source)
+                                   for r2 in brute_one_step(m, r)}
+                else:
+                    assert nxt in brute_one_step(m, source)
+                word = nxt
+            assert word == P.lstd(m, w)
+            # each move drops one letter, or two on an annihilation
+            shrink = len(w) - len(word)
+            assert shrink / 2 <= len(moves) <= shrink
 
 
-def test_lstd_trace_annihilation_rule_text(group2):
+def test_lstd_trace_annihilation_rule_text(group2, tmp_path, capsys):
+    # the move is an index tuple; the CLI names its rule
     g = group2.index("g")
-    t = P.lstd_trace(group2, (g, g))
-    assert [s.rule for s in t.steps] == ["g g -> eps"]
-    assert t.result == ()
+    assert list(P.lstd_trace(group2, (g, g))) == [((g, g), 0, group2.identity)]
+    path = tmp_path / "group2.monoid"
+    path.write_text(P.serialize_monoid(group2), encoding="utf-8")
+    assert cli.main(["normalize", str(path), "g", "g", "--trace"]) == 0
+    assert capsys.readouterr().out == "g·g  --[g g -> eps @ 0]-->\neps\n"
 
 
 def test_empty_trace(ex2):
-    t = P.lstd_trace(ex2, wrd(ex2, "z y"))
-    assert t.steps == ()
-    assert t.result == wrd(ex2, "z y")
+    assert list(P.lstd_trace(ex2, wrd(ex2, "z y"))) == []
+
+
+def test_lstd_trace_follows_the_schedule(ex2, letters3, group2, sample_tables):
+    # the sources, then lstd, are the reference schedule's words, and
+    # replaying each move gives the next source; seeded words with
+    # identity letters and annihilating pairs
+    rng = random.Random(18)
+    tables = [ex2, letters3, group2, P.gen_disjoint_union_monoid(3)]
+    tables += sample_tables
+    annihilations = 0
+    for m in tables:
+        for _ in range(60):
+            w = tuple(rng.randrange(m.size) for _ in range(rng.randint(0, 12)))
+            moves = list(P.lstd_trace(m, w))
+            assert [s for s, _, _ in moves] + [P.lstd(m, w)] == left_standard_schedule(m, w)
+            for a, b in zip(moves, moves[1:]):
+                assert after(m, a) == b[0]
+            if moves:
+                assert after(m, moves[-1]) == P.lstd(m, w)
+            annihilations += sum(z == m.identity for _, _, z in moves)
+    assert annihilations > 0
+
+
+def test_lstd_trace_is_lazy(letters3):
+    # the first moves of a 100,000-letter word come without the rest;
+    # tracing it in full copies the word once per move, billions of letters
+    w = wrd(letters3, "1 a b c") * 25_000
+    start = time.perf_counter()
+    first = list(itertools.islice(P.lstd_trace(letters3, w), 3))
+    assert time.perf_counter() - start < 1.0
+    assert [(i, z) for _, i, z in first] == [(0, None), (3, None), (6, None)]
+    assert first[0][0] == w
 
 
 # ------------------------------------------------------------------ convertibility

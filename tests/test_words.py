@@ -68,11 +68,25 @@ def test_invertible_letters_cap_length(group2):
 
 
 def test_enumerate_respects_max_words_cap(letters3, monkeypatch):
-    monkeypatch.setattr("parmon.words.MAX_IRREDUCIBLE_WORDS", 100)
-    with pytest.raises(ValueError, match="more than 100 irreducible words"):
+    # the cap counts the letters of the words held, not the words
+    monkeypatch.setattr("parmon.words.MAX_IRREDUCIBLE_LETTERS", 100)
+    with pytest.raises(ValueError,
+                       match="more than 100 letters of irreducible words"):
         P.enumerate_irreducible(letters3, 4)
-    monkeypatch.setattr("parmon.words.MAX_IRREDUCIBLE_WORDS", 16)
+    # letters3 has 15 one-letter words, and eps holds no letter
+    monkeypatch.setattr("parmon.words.MAX_IRREDUCIBLE_LETTERS", 15)
     assert len(P.enumerate_irreducible(letters3, 1)) == 16
+    monkeypatch.setattr("parmon.words.MAX_IRREDUCIBLE_LETTERS", 14)
+    with pytest.raises(ValueError, match="more than 14 letters"):
+        P.enumerate_irreducible(letters3, 1)
+
+
+def test_enumerate_caps_letters_of_long_words():
+    # one irreducible word per length: k words hold k (k + 1) / 2 letters
+    m = P.parse_monoid("elements: 1 q\nidentity: 1\n")
+    assert len(P.enumerate_irreducible(m, 1413)) == 1414  # 998,991 letters
+    with pytest.raises(ValueError, match="more than 1000000 letters"):
+        P.enumerate_irreducible(m, 1414)  # 1,000,405 letters
 
 
 def test_parse_word(ex2):
