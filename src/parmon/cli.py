@@ -146,16 +146,20 @@ def cmd_normalize(args) -> int:
         return EXIT_OK
     if args.trace:
         # one line per move as lstd_trace yields it: the identity letter
-        # at i erases (z is None), or the pair at i contracts to z
+        # at i erases (z is None), or the pair at i contracts to z; each
+        # JSON name is quoted once, and names match [A-Za-z0-9_]+, so the
+        # rule needs no escaping and the layout is json.dumps's
         names = m.elements
+        q = [json.dumps(n) for n in names]
+        write = sys.stdout.write
         for source, i, z in lstd_trace(m, w):
             lhs = names[source[i]] if z is None else f"{names[source[i]]} {names[source[i + 1]]}"
             rule = f"{lhs} -> {'eps' if z in (None, m.identity) else names[z]}"
             if args.json:
-                print(json.dumps({"word": _names(m, source), "rule": rule,
-                                  "position": i}))
+                write(f'{{"word": [{", ".join([q[c] for c in source])}], '
+                      f'"rule": "{rule}", "position": {i}}}\n')
             else:
-                print(f"{format_word(m, source)}  --[{rule} @ {i}]-->")
+                write(f"{format_word(m, source)}  --[{rule} @ {i}]-->\n")
     result = lstd(m, w)
     if not args.json:
         print(format_word(m, result))

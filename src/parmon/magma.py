@@ -2,17 +2,33 @@
 
 A tree is a leaf labelled by an irreducible word or a pairing of two
 trees.  The rotation rule rewrites any subtree (t1 t2) t3 to
-t1 (t2 t3).  Rotation preserves the left-to-right leaf sequence and
-strictly decreases the rank
+t1 (t2 t3).  Rotation keeps the left-to-right leaf sequence, so it is
+computed on a tree's shape: the preorder tuple of each internal node's
+left-leaf count, n - 1 entries for n leaves.  An entry k >= 2 at
+position p is a node whose left child is internal, with entry
+k1 = s[p + 1]; rotating there moves t1's k1 - 1 entries up one place
+and gives the new node (t2 t3) the entry k - k1, one slice:
 
-    rank(leaf) = 0
-    rank(t1 t2) = rank(t1) + rank(t2) + leaves(t1) - 1
+    s[:p] + (k1,) + s[p + 2:p + 1 + k1] + (k - k1,) + s[p + 1 + k1:]
 
-so rewriting terminates, and the rank-zero trees are exactly the right
-combs.  A tree's evaluation, its leaf labels multiplied with star in
-its bracketing, is the last word of _chain's plain reduction from the
-leaf concatenation; so rotating keeps it in one convertibility class
-even when star is not associative, as two chains show, with no search.
+Rotation strictly decreases the rank
+
+    rank(t) = sum(shape) - len(shape),
+
+the sum over internal nodes of left-leaf count minus one (so
+rank(t1 t2) = rank(t1) + rank(t2) + leaves(t1) - 1): a rotation
+replaces k, k1 by k1, k - k1, so the sum drops by k1 >= 1.  Rewriting
+terminates, and the rank-zero trees, whose shapes are all ones, are
+exactly the right combs.
+
+A tree's evaluation, its leaf labels multiplied with star in its
+bracketing, is one fold over its shape: each internal node is _lstd of
+its children's values concatenated.  It is also the last word of
+_chain's plain reduction from the leaf concatenation; so rotating keeps
+it in one convertibility class even when star is not associative, as
+two chains show, with no search.  Trees with one evaluation need one
+certificate, so verify_rotation_invariance builds one chain per
+distinct evaluation.
 """
 
 from __future__ import annotations
@@ -20,7 +36,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Union
 
 from .monoid import EMPTY_WORD_TOKEN, PartialMonoid
-from .rewriting import _apply, _lstd_moves, _steps
+from .rewriting import _apply, _lstd, _lstd_moves, _steps
 from .words import Word, format_word, is_irreducible
 
 
@@ -34,6 +50,7 @@ class Node(NamedTuple):
 
 
 Tree = Union[Leaf, Node]
+Shape = tuple[int, ...]
 
 
 def leaves(t: Tree) -> int:
@@ -44,44 +61,76 @@ def leaves(t: Tree) -> int:
 
 
 def leaf_labels(t: Tree) -> list[Word]:
-    if isinstance(t, Leaf):
-        return [t.label]
-    return leaf_labels(t.left) + leaf_labels(t.right)
+    return [leaf.label for leaf in _shape(t)[1]]
+
+
+def _shape(t: Tree) -> tuple[Shape, list[Leaf]]:
+    """t's shape and its leaves in order, from one walk returning leaf counts."""
+    shape: list[int] = []
+    found: list[Leaf] = []
+
+    def walk(t: Tree) -> int:
+        if isinstance(t, Leaf):
+            found.append(t)
+            return 1
+        i = len(shape)
+        shape.append(0)
+        shape[i] = k = walk(t.left)
+        return k + walk(t.right)
+
+    walk(t)
+    return tuple(shape), found
+
+
+def _tree(shape: Shape, found: list[Leaf]) -> Tree:
+    """The tree of a shape over the given leaves, which it reuses."""
+    entries, rest = iter(shape), iter(found)
+
+    def build(n: int) -> Tree:
+        if n == 1:
+            return next(rest)
+        k = next(entries)
+        return Node(build(k), build(n - k))
+
+    return build(len(found))
+
+
+def _shape_rotations(s: Shape) -> Iterator[Shape]:
+    """The shapes one rotation from s: one slice per entry k >= 2."""
+    for p, k in enumerate(s):
+        if k > 1:
+            k1 = s[p + 1]
+            yield s[:p] + (k1,) + s[p + 2:p + 1 + k1] + (k - k1,) + s[p + 1 + k1:]
+
+
+def _shape_closure(s: Shape) -> set[Shape]:
+    """Every shape reachable from s by rotations, s included."""
+    seen = {s}
+    todo = [s]
+    while todo:
+        for r in _shape_rotations(todo.pop()):
+            if r not in seen:
+                seen.add(r)
+                todo.append(r)
+    return seen
 
 
 def rank(t: Tree) -> int:
     """Termination measure for rotation; zero exactly on right combs."""
-    if isinstance(t, Leaf):
-        return 0
-    return rank(t.left) + rank(t.right) + leaves(t.left) - 1
+    shape, _ = _shape(t)
+    return sum(shape) - len(shape)
 
 
 def rotations(t: Tree) -> set[Tree]:
-    """All trees one rotation away; trees are tuples, hashed by tuple's own code."""
-    return set(_rotated(t))
-
-
-def _rotated(t: Tree) -> Iterator[Tree]:
-    if isinstance(t, Node):
-        if isinstance(t.left, Node):
-            yield Node(t.left.left, Node(t.left.right, t.right))
-        yield from (Node(l, t.right) for l in _rotated(t.left))
-        yield from (Node(t.left, r) for r in _rotated(t.right))
+    """All trees one rotation away, over t's own Leaf objects."""
+    shape, found = _shape(t)
+    return {_tree(r, found) for r in _shape_rotations(shape)}
 
 
 def rotation_closure(t: Tree) -> set[Tree]:
     """Every tree reachable by rotations, t included."""
-    seen = {t}
-    frontier = [t]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for r in rotations(s):
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return seen
+    shape, found = _shape(t)
+    return {_tree(s, found) for s in _shape_closure(shape)}
 
 
 def right_comb(t: Tree) -> Tree:
@@ -94,16 +143,45 @@ def right_comb(t: Tree) -> Tree:
 
 
 def evaluate(m: PartialMonoid, t: Tree) -> Word:
-    """Multiply the leaf labels with star in t's bracketing: t's chain's last word."""
-    return _checked_chain(m, t)[-1]
+    """Multiply the leaf labels with star in t's bracketing."""
+    shape, found = _checked_shape(m, t)
+    return _fold(m, shape, [leaf.label for leaf in found], {})
+
+
+def _checked_shape(m: PartialMonoid, t: Tree) -> tuple[Shape, list[Leaf]]:
+    """_shape(t), once t's leaf labels are checked to be irreducible."""
+    shape, found = _shape(t)
+    for leaf in found:
+        if not is_irreducible(m, leaf.label):
+            raise ValueError(f"leaf label {format_word(m, leaf.label)} is not irreducible")
+    return shape, found
 
 
 def _checked_chain(m: PartialMonoid, t: Tree) -> list[Word]:
     """_chain(m, t), once t's leaf labels are checked to be irreducible."""
-    for label in leaf_labels(t):
-        if not is_irreducible(m, label):
-            raise ValueError(f"leaf label {format_word(m, label)} is not irreducible")
+    _checked_shape(m, t)
     return _chain(m, t)
+
+
+def _fold(m: PartialMonoid, shape: Shape, labels: list[Word],
+          memo: dict[Word, Word]) -> Word:
+    """The evaluation of a shape over irreducible leaf labels.
+
+    Star at a node is _lstd of the concatenation, which alone fixes the
+    result, so memo maps each concatenated word to its _lstd.
+    """
+    entries, rest = iter(shape), iter(labels)
+
+    def value(n: int) -> Word:
+        k = next(entries)
+        w = ((next(rest) if k == 1 else value(k))
+             + (next(rest) if n - k == 1 else value(n - k)))
+        v = memo.get(w)
+        if v is None:
+            v = memo[w] = _lstd(m, w)
+        return v
+
+    return value(len(labels)) if shape else labels[0]
 
 
 def _chain(m: PartialMonoid, t: Tree) -> list[Word]:
@@ -140,11 +218,18 @@ def verify_rotation_invariance(m: PartialMonoid, t: Tree) -> bool:
     """Are the evaluations of all rotations of t interconvertible?
 
     Rotations keep the leaf sequence, so the labels are checked, and t's
-    chain built, once; each closure tree's chain is certified against
-    t's by _convertible, not searched.
+    chain built, once.  Each closure shape is evaluated by _fold with one
+    memo; for each distinct evaluation other than t's, one tree that has
+    it gets a chain, certified against t's by _convertible, not searched.
     """
-    base = _checked_chain(m, t)
-    return all(_convertible(m, base, _chain(m, s)) for s in rotation_closure(t))
+    shape, found = _checked_shape(m, t)
+    base = _chain(m, t)
+    labels = [leaf.label for leaf in found]
+    memo: dict[Word, Word] = {}
+    witness = {_fold(m, s, labels, memo): s for s in _shape_closure(shape)}
+    witness.pop(base[-1], None)
+    return all(_convertible(m, base, _chain(m, _tree(s, found)))
+               for s in witness.values())
 
 
 # ------------------------------------------------------------------ text form

@@ -6,13 +6,15 @@ appear twice, in two different shapes, to slip through.  The exceptions,
 brute_assoc_counterexamples, brute_assoc_congruence and star_fold, fold
 with the public star product, the definition that the shortcuts of
 associativity_search, assoc_modulo_congruence and evaluate must match.
+The tree oracles rotate and rank nested trees by recursion on the tree,
+where parmon.magma works on flat shapes.
 """
 
 import functools
 import itertools
 from dataclasses import dataclass
 
-from parmon import Leaf, convertible_bounded, enumerate_irreducible, star
+from parmon import Leaf, Node, convertible_bounded, enumerate_irreducible, star
 
 
 def table_of(m):
@@ -129,6 +131,41 @@ def star_fold(m, t):
     if isinstance(t, Leaf):
         return t.label
     return star(m, star_fold(m, t.left), star_fold(m, t.right))
+
+
+def _rotated(t):
+    """The trees one rotation (t1 t2) t3 -> t1 (t2 t3) from t, by recursion on t."""
+    if isinstance(t, Node):
+        if isinstance(t.left, Node):
+            yield Node(t.left.left, Node(t.left.right, t.right))
+        yield from (Node(l, t.right) for l in _rotated(t.left))
+        yield from (Node(t.left, r) for r in _rotated(t.right))
+
+
+def brute_rotations(t):
+    return set(_rotated(t))
+
+
+def brute_rotation_closure(t):
+    """Every tree reachable from t by tree-level rotations, t included."""
+    seen, todo = {t}, [t]
+    while todo:
+        for r in _rotated(todo.pop()):
+            if r not in seen:
+                seen.add(r)
+                todo.append(r)
+    return seen
+
+
+def brute_rank(t):
+    """rank(leaf) = 0, rank(t1 t2) = rank(t1) + rank(t2) + leaves(t1) - 1."""
+    if isinstance(t, Leaf):
+        return 0
+    return brute_rank(t.left) + brute_rank(t.right) + _leaf_count(t.left) - 1
+
+
+def _leaf_count(t):
+    return 1 if isinstance(t, Leaf) else _leaf_count(t.left) + _leaf_count(t.right)
 
 
 def brute_classify(m):

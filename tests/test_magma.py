@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import parmon as P
 from conftest import wrd
-from oracles import brute_one_step, star_fold
+from oracles import (brute_one_step, brute_rank, brute_rotation_closure,
+                     brute_rotations, star_fold)
 
 
 def all_shapes(labels):
@@ -123,7 +124,7 @@ def test_closure_has_unique_normal_form(ex2):
 
 @st.composite
 def ex2_trees(draw):
-    letters = [(1,), (2,), (3,)]  # x, y, z in ex2
+    letters = [(1,), (2,), (3,), ()]  # x, y, z in ex2, and the empty word
     leaf = st.sampled_from(letters).map(P.Leaf)
     return draw(st.recursive(leaf, lambda ch: st.builds(P.Node, ch, ch),
                              max_leaves=7))
@@ -133,10 +134,36 @@ def ex2_trees(draw):
 @given(t=ex2_trees())
 def test_rotation_closure_properties_random(t):
     closure = P.rotation_closure(t)
+    assert closure == brute_rotation_closure(t)
+    assert P.rotations(t) == brute_rotations(t)
     combs = {s for s in closure if P.rank(s) == 0}
     assert combs == {P.right_comb(t)}
     for s in closure:
+        assert P.rank(s) == brute_rank(s)
         assert P.leaf_labels(s) == P.leaf_labels(t)
+
+
+def test_shapes_match_the_tree_oracles():
+    # every shape of up to 7 leaves, the leaves told apart by their
+    # labels, one of them the empty word
+    checked = 0
+    for n in range(1, 8):
+        labels = [(c,) for c in range(n)]
+        labels[n // 2] = ()
+        for t in all_shapes(labels):
+            shape, found = P.magma._shape(t)
+            assert len(shape) == n - 1 and P.magma._tree(shape, found) == t
+            assert P.rank(t) == brute_rank(t) == sum(shape) - len(shape)
+            assert P.rotations(t) == brute_rotations(t)
+            assert P.rotation_closure(t) == brute_rotation_closure(t)
+            checked += 1
+    assert checked == 1 + 1 + 2 + 5 + 14 + 42 + 132
+
+
+def test_decoded_trees_reuse_the_leaves(pentagon):
+    _, found = P.magma._shape(pentagon)
+    for s in P.rotation_closure(pentagon) | P.rotations(pentagon):
+        assert all(a is b for a, b in zip(P.magma._shape(s)[1], found))
 
 
 # ------------------------------------------------------------------ evaluation
@@ -236,6 +263,24 @@ def test_evaluate_matches_star_fold(certificate_cases):
             assert P.evaluate(m, t) == star_fold(m, t)
 
 
+def test_fold_matches_evaluate_and_chain(certificate_cases):
+    # a left comb's closure is every bracketing of its leaves; its shapes
+    # are folded with one memo, as verify_rotation_invariance does
+    folded = 0
+    for m, trees in certificate_cases:
+        for t in trees:
+            shape, found = P.magma._shape(t)
+            if shape != tuple(range(len(shape), 0, -1)):
+                continue
+            labels, memo = P.leaf_labels(t), {}
+            for s in P.magma._shape_closure(shape):
+                tree = P.magma._tree(s, found)
+                value = P.magma._fold(m, s, labels, memo)
+                assert value == P.evaluate(m, tree) == P.magma._chain(m, tree)[-1]
+                folded += 1
+    assert folded == sum(len(trees) for _, trees in certificate_cases)
+
+
 def test_chains_reduce_the_leaf_concatenation(certificate_cases):
     # on invalid tables too: the argument never uses the chain law
     for m, trees in certificate_cases:
@@ -256,6 +301,32 @@ def test_certificates_agree_with_the_search(certificate_cases):
             assert P.convertible_bounded(m, u, v, cap) is not None
             assert P.magma._convertible(m, down, up)
             differ += u != v
+    assert differ > 0
+
+
+def test_one_certificate_per_distinct_evaluation(certificate_cases, monkeypatch):
+    # every evaluation in the closure other than the tree's own is
+    # certified against the tree's chain, each exactly once (trees of
+    # up to 4 leaves)
+    certified = []
+    check = P.magma._convertible
+
+    def spy(m, down, up):
+        certified.append(up[-1])
+        return check(m, down, up)
+
+    monkeypatch.setattr(P.magma, "_convertible", spy)
+    differ = 0
+    for m, trees in certificate_cases:
+        for t in trees:
+            if P.leaves(t) > 4:
+                continue
+            certified.clear()
+            assert P.verify_rotation_invariance(m, t)
+            base = star_fold(m, t)
+            others = {star_fold(m, s) for s in brute_rotation_closure(t)} - {base}
+            assert sorted(certified) == sorted(others)
+            differ += len(others)
     assert differ > 0
 
 
