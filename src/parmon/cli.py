@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import magma
 from .confluence import (essential_critical_pairs, is_catenary, is_confluent,
-                         newman_check)
+                         newman_check, set_bits)
 from .monoid import (PartialMonoid, ParseError, chain_violations, parse_monoid,
                      random_monoid, validate)
 from .rewriting import lstd, lstd_trace, normal_forms
@@ -96,12 +96,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_confluence(args) -> int:
-    """Every A0 witness as one formatted string, written in one piece."""
+    """Every A0 witness as one formatted string, read off the verdict's
+    mask rows in (x, y, z) order and written in one piece."""
     m = _load_valid(args.file)
     verdict = is_confluent(m)
     agree = None
     if args.oracle:
         agree = newman_check(m) == verdict.confluent
+    rows = m.rows
     write = sys.stdout.write
     if args.json:
         # each name is quoted once; the layout is json.dumps's for the
@@ -112,7 +114,8 @@ def cmd_confluence(args) -> int:
         write(", ".join([
             f'{{"x": {q[x]}, "y": {q[y]}, "z": {q[z]}, "a": {q[a]}, '
             f'"b": {q[b]}, "pair": [[{q[a]}, {q[z]}], [{q[x]}, {q[b]}]]}}'
-            for x, y, z, a, b in verdict.a0_witnesses]))
+            for x, y, a, mask in verdict.a0_rows
+            for z in set_bits(mask) for b in (rows[y][z],)]))
         if agree is None:
             write("]}\n")
         else:
@@ -122,8 +125,8 @@ def cmd_confluence(args) -> int:
         names = m.elements
         lines = ["confluent" if verdict.confluent else "not confluent"]
         lines += [f"  A0 ({names[x]}, {names[y]}, {names[z]}): "
-                  f"{names[a]}·{names[z]} vs {names[x]}·{names[b]}"
-                  for x, y, z, a, b in verdict.a0_witnesses]
+                  f"{names[a]}·{names[z]} vs {names[x]}·{names[rows[y][z]]}"
+                  for x, y, a, mask in verdict.a0_rows for z in set_bits(mask)]
         if agree is not None:
             lines.append("oracle agrees" if agree else "oracle DISAGREES")
         write("\n".join(lines) + "\n")
@@ -148,7 +151,8 @@ def cmd_normalize(args) -> int:
         # one line per move as lstd_trace yields it: the identity letter
         # at i erases (z is None), or the pair at i contracts to z; each
         # JSON name is quoted once, and names match [A-Za-z0-9_]+, so the
-        # rule needs no escaping and the layout is json.dumps's
+        # rule needs no escaping and the layout is json.dumps's; a source
+        # has a letter to rewrite, so its text form is never eps
         names = m.elements
         q = [json.dumps(n) for n in names]
         write = sys.stdout.write
@@ -159,7 +163,7 @@ def cmd_normalize(args) -> int:
                 write(f'{{"word": [{", ".join([q[c] for c in source])}], '
                       f'"rule": "{rule}", "position": {i}}}\n')
             else:
-                write(f"{format_word(m, source)}  --[{rule} @ {i}]-->\n")
+                write(f"{'·'.join([names[c] for c in source])}  --[{rule} @ {i}]-->\n")
     result = lstd(m, w)
     if not args.json:
         print(format_word(m, result))

@@ -14,8 +14,13 @@ The system is confluent exactly when no fork is A0; an A0 fork never
 involves the identity anywhere.  The forks of one defined pair (x, y)
 are the right partners z of y, the set bits of ``m.right[y]``, and the
 B ones are those that are right partners of a as well.  So the A forks
-of (x, y) are the set bits of ``right[y] & ~right[a]``, in ascending z,
-and the verdict walks only those: on a group there are none at all.
+of (x, y) are the set bits of ``right[y] & ~right[a]``, in ascending z:
+on a group there are none at all.  An A fork is A1 exactly when a = x
+and y*z = z, so the A0 forks of (x, y) are the bits of one int, that
+mask less ``fixed[y]`` (the z with y*z = z) when a = x, and the mask
+itself otherwise.  The verdict's one fact is those masks, one row
+(x, y, a, mask) per defined pair with a nonzero mask; no loop runs
+over their bits, and the witnesses are read off them only when asked.
 The catenary test reads the same masks: a table is catenary exactly
 when no A fork has a non-identity middle y.
 
@@ -73,26 +78,45 @@ def essential_critical_pairs(
 
 @dataclass(frozen=True)
 class ConfluenceVerdict:
-    a0_witnesses: tuple[tuple[int, int, int, int, int], ...]  # A0 forks
+    """The A0 forks of ``monoid`` as mask rows, in (x, y) order: one
+    (x, y, a, mask) per defined pair (x, y) with a = x*y that has any,
+    bit z of mask set for each A0 fork (x, y, z)."""
+
+    monoid: PartialMonoid
+    a0_rows: tuple[tuple[int, int, int, int], ...]
 
     @property
     def confluent(self) -> bool:
-        return not self.a0_witnesses
+        return not self.a0_rows
+
+    @property
+    def a0_witnesses(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Every A0 fork (x, y, z, a, b), in (x, y, z) order."""
+        rows = self.monoid.rows
+        return tuple([(x, y, z, a, rows[y][z]) for x, y, a, mask in self.a0_rows
+                      for z in set_bits(mask)])
 
 
 def is_confluent(m: PartialMonoid) -> ConfluenceVerdict:
-    """Walk the A forks of each defined pair; the A0 ones are the witnesses."""
+    """One A0 mask per defined pair, with no walk over its bits.
+
+    ``fixed[y]``, the mask of the z with y*z = z, is computed once, and
+    only for a y with some A fork at a pair (x, y) with x*y = x.
+    """
     rows, right = m.rows, m.right
+    fixed: dict[int, int] = {}
     a0 = []
     for x, y, a in m.products:
-        open_forks = right[y] & ~right[a]
-        if open_forks:
-            row_y = rows[y]
-            for z in set_bits(open_forks):
-                b = row_y[z]
-                if a != x or b != z:
-                    a0.append((x, y, z, a, b))
-    return ConfluenceVerdict(tuple(a0))
+        mask = right[y] & ~right[a]
+        if mask:
+            if a == x:
+                f = fixed.get(y)
+                if f is None:
+                    f = fixed[y] = sum(1 << z for z, c in enumerate(rows[y]) if c == z)
+                mask &= ~f
+            if mask:
+                a0.append((x, y, a, mask))
+    return ConfluenceVerdict(m, tuple(a0))
 
 
 def is_catenary(m: PartialMonoid) -> tuple[bool, Optional[tuple[int, int, int]]]:

@@ -266,7 +266,7 @@ def chain_violations(m: PartialMonoid) -> Iterator[tuple]:
     n = len(m.rows)
     T, times = totalized(m)
 
-    if all(T[T[x][y]] == times[y](T[x]) for y in _generators(T, m.identity)
+    if all(T[T[x][y]] == times[y](T[x]) for y in _generators(m, T)
            for x in range(n)):
         return
 
@@ -297,31 +297,40 @@ def totalized(m: PartialMonoid) -> tuple[list[tuple[int, ...]], list[itemgetter]
     return T, [itemgetter(*row) for row in T]
 
 
-def _generators(T: list[tuple[int, ...]], identity: int) -> list[int]:
-    """A greedy generating set of the totalized table T (zero last).
+def _generators(m: PartialMonoid, T: list[tuple[int, ...]]) -> list[int]:
+    """A greedy generating set of m's totalized table T (zero last).
 
     The zero and the identity are good in any table, so they start out
-    covered.  Each new generator is the lowest uncovered element; the
-    covered set is then closed under left and right products with the
-    generators, so it stays the subsemigroup they generate, plus the
-    zero and the identity.
+    covered.  An indecomposable element, one that is no product x*y of
+    two non-identity elements, lies in every generating set, so a stable
+    sort puts those first among the candidates, and each new generator
+    is the first uncovered candidate.  The covered set is closed under
+    left and right products with the generators after each one, so it
+    stays the subsemigroup they generate, plus the zero and the identity.
     """
+    e = m.identity
+    decomposable = {z for x, y, z in m.products if x != e != y}
     covered = bytearray(len(T))
-    covered[-1] = covered[identity] = 1
-    members = [identity, len(T) - 1]
+    covered[-1] = covered[e] = 1
+    members = [e, len(T) - 1]
     gens: list[int] = []
-    for g in range(len(T)):
+    for g in sorted(range(len(T)), key=decomposable.__contains__):
         if covered[g]:
             continue
         gens.append(g)
-        todo = [g] + [p for s in members for p in (T[s][g], T[g][s])]
+        row_g = T[g]
+        todo = [g]
+        for s in members:
+            todo += (T[s][g], row_g[s])
         while todo:
             s = todo.pop()
             if covered[s]:
                 continue
             covered[s] = 1
             members.append(s)
-            todo.extend(p for a in gens for p in (T[s][a], T[a][s]))
+            row_s = T[s]
+            for a in gens:
+                todo += (row_s[a], T[a][s])
     return gens
 
 

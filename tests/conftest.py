@@ -80,3 +80,29 @@ def wrd(m, text):
 
 def fmt(m, w):
     return P.format_word(m, w)
+
+
+def relabeled(m, seed):
+    """The same table with its elements stored in a seeded random order."""
+    perm = list(range(m.size))
+    random.Random(seed).shuffle(perm)
+    names = [""] * m.size
+    for i, p in enumerate(perm):
+        names[p] = m.elements[i]
+    return P.PartialMonoid(names, perm[m.identity],
+                           {(perm[x], perm[y]): perm[z] for x, y, z in m.products})
+
+
+def one_product_edits(m, pairs):
+    """Every table that differs from m in the product of exactly one pair."""
+    products = {(x, y): z for x, y, z in m.products}
+    for x, y in pairs:
+        for z in (None, *range(m.size)):
+            if products.get((x, y)) == z:
+                continue
+            edited = dict(products)
+            if z is None:
+                del edited[(x, y)]
+            else:
+                edited[(x, y)] = z
+            yield P.PartialMonoid(m.elements, m.identity, edited)

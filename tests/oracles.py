@@ -187,6 +187,27 @@ def brute_classify(m):
     return out
 
 
+def brute_indecomposables(m):
+    """The non-identity elements that are no product x*y of two
+    non-identity elements."""
+    t = table_of(m)
+    e = m.identity
+    products = {t[(x, y)] for x, y in t if e not in (x, y)}
+    return {g for g in range(len(m.elements)) if g != e and g not in products}
+
+
+def brute_closure(m, gens):
+    """Everything the totalized table builds from gens, the identity and
+    the zero (index n), by squaring the set until it stops growing."""
+    t = totalize(m)
+    covered = {t.zero, m.identity, *gens}
+    while True:
+        grown = covered | {t.table[a][b] for a in covered for b in covered}
+        if grown == covered:
+            return covered
+        covered = grown
+
+
 def brute_catenary(m):
     """First (x, y, z) in index order breaking catenarity, or None.
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmon as P
+from conftest import one_product_edits, relabeled
 from oracles import (apply_rule, brute_catenary, brute_chain_violations,
                      brute_classify, generic_critical_pairs)
 
@@ -145,10 +146,27 @@ def test_verdict_fields(ex2, letters3):
 
 def test_a0_witnesses_are_the_a0_essential_pairs(ex2, letters3, du2,
                                                  sample_tables):
-    for m in (ex2, letters3, du2, *sample_tables):
+    # one mask row per defined pair with an A0 fork, in (x, y) order,
+    # whose bits are that pair's A0 forks; the witnesses keep (x, y, z)
+    # order, also on du7 and on invalid one-product edits
+    du3 = relabeled(P.gen_disjoint_union_monoid(3), 2)
+    rest = du3.non_identity()
+    edits = [e for e in one_product_edits(du3, [(x, y) for x in rest for y in rest])
+             if not P.validate(e).valid]
+    for m in (ex2, letters3, du2, P.gen_disjoint_union_monoid(7, cap=7),
+              *sample_tables, *edits[::7]):
         expected = [t[:5] for t in P.essential_critical_pairs(m)
                     if t[5] == "A0"]
-        assert list(P.is_confluent(m).a0_witnesses) == expected
+        rows = {}
+        for x, y, z, a, _ in expected:
+            rows.setdefault((x, y, a), []).append(z)
+        verdict = P.is_confluent(m)
+        assert [(x, y, a, [z for z in range(m.size) if mask >> z & 1])
+                for x, y, a, mask in verdict.a0_rows] == [
+                    (*k, zs) for k, zs in rows.items()]
+        assert list(verdict.a0_witnesses) == expected
+        assert verdict.confluent == (not expected)
+
 
 def test_a0_fork_words_have_multiple_normal_forms(letters3, du2):
     for m in (letters3, du2):

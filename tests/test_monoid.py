@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmon as P
-from conftest import EX2_TEXT
+from conftest import EX2_TEXT, one_product_edits, relabeled
 from oracles import (brute_catenary, brute_chain_scan, brute_chain_violations,
-                     table_of, total_associativity_witnesses, totalize)
+                     brute_closure, brute_indecomposables, table_of,
+                     total_associativity_witnesses, totalize)
+from parmon.monoid import _generators, totalized
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -214,36 +216,65 @@ def test_validate_lists_violations_in_scan_order(du2, sample_tables):
                 == set(total_associativity_witnesses(totalize(m))))
 
 
-def _one_product_edits(m, pairs):
-    """Every table that differs from m in the product of exactly one pair."""
-    products = {(x, y): z for x, y, z in m.products}
-    for x, y in pairs:
-        for z in (None, *range(m.size)):
-            if products.get((x, y)) == z:
-                continue
-            edited = dict(products)
-            if z is None:
-                del edited[(x, y)]
-            else:
-                edited[(x, y)] = z
-            yield P.PartialMonoid(m.elements, m.identity, edited)
+def _cyclic(n):
+    return P.PartialMonoid([f"g{i}" for i in range(n)], 0,
+                           {(i, j): (i + j) % n for i in range(n) for j in range(n)})
+
+
+def _light_generators(m):
+    return _generators(m, totalized(m)[0])
+
+
+def test_generators_generate_and_hold_every_indecomposable(ex2, letters3, du2,
+                                                          sample_tables):
+    # Light's test is sound only if the generators build the whole
+    # totalized table; an indecomposable is in every generating set
+    tables = [ex2, letters3, du2, _cyclic(6), *sample_tables,
+              *(relabeled(P.gen_disjoint_union_monoid(k), k) for k in (3, 4)),
+              relabeled(letters3, 3)]
+    for m in tables:
+        gens = _light_generators(m)
+        assert brute_closure(m, gens) == set(range(m.size + 1))
+        assert brute_indecomposables(m) <= set(gens)
+
+
+def test_generators_are_the_indecomposables_when_they_generate():
+    # the seeded relabelings put decomposable elements first, which the
+    # lowest-uncovered seeding alone took as generators
+    tables = [(P.gen_disjoint_union_monoid(k, cap=k), 10 + k) for k in range(3, 7)]
+    tables += [(P.gen_no_common_letters_monoid("abcd"[:k]), 20 + k) for k in range(2, 5)]
+    for m, seed in tables:
+        m = relabeled(m, seed)
+        assert len(_light_generators(m)) == len(brute_indecomposables(m))
+    assert len(_light_generators(relabeled(P.gen_disjoint_union_monoid(7, cap=7), 1))) == 7
+    # a group has no indecomposables; its generators come from the scan
+    cyc = relabeled(_cyclic(12), 5)
+    assert brute_indecomposables(cyc) == set()
+    assert brute_closure(cyc, _light_generators(cyc)) == set(range(13))
 
 
 def test_validate_verdict_on_every_one_product_edit(ex2, letters3):
-    # a generating set that covers too much would call a broken table valid
+    # a generating set that covers too much would call a broken table
+    # valid; on the relabeled tables and the group an edit can make or
+    # unmake an indecomposable, and the generators then leave index order
     du3 = P.gen_disjoint_union_monoid(3)
-    seen = set()
-    for m, every_pair in ((ex2, True), (letters3, False), (du3, True)):
+    seen, reordered = set(), 0
+    for m, every_pair in ((ex2, True), (letters3, False), (du3, True),
+                          (relabeled(du3, 4), True), (relabeled(letters3, 8), False),
+                          (relabeled(_cyclic(4), 6), True)):
         rest = m.non_identity()
         if every_pair:
             pairs = [(x, y) for x in rest for y in rest]
         else:
             pairs = [(x, y) for x, y, _ in m.products if m.identity not in (x, y)]
-        for e in _one_product_edits(m, pairs):
-            valid = not brute_chain_violations(e)
-            assert P.validate(e).valid == valid
-            seen.add(valid)
+        for e in one_product_edits(m, pairs):
+            violations = brute_chain_violations(e)
+            assert {v[:3] for v in P.validate(e).violations} == violations
+            gens = _light_generators(e)
+            reordered += gens != sorted(gens)
+            seen.add(not violations)
     assert seen == {True, False}
+    assert reordered
 
 
 def test_validation_report_valid_property():
