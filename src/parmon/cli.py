@@ -18,8 +18,8 @@ from pathlib import Path
 from . import magma
 from .confluence import (essential_critical_pairs, is_catenary, is_confluent,
                          newman_check, set_bits)
-from .monoid import (PartialMonoid, ParseError, chain_violations, parse_monoid,
-                     random_monoid, validate)
+from .monoid import (EMPTY_WORD_TOKEN, PartialMonoid, ParseError,
+                     chain_violations, parse_monoid, random_monoid, validate)
 from .rewriting import lstd, lstd_trace, normal_forms
 from .star import associativity_search, star
 from .words import Word, format_word, parse_word
@@ -216,31 +216,43 @@ def cmd_star(args) -> int:
 
 
 def cmd_assoc_test(args) -> int:
+    """One line, or one JSON array element, per counterexample, from
+    names read once per table."""
     m = _load_valid(args.file)
     report = associativity_search(m, args.max_len, find_all=args.all)
-    verdict = is_confluent(m)
-    match = report.associative == verdict.confluent
+    confluent = is_confluent(m).confluent
+    associative = report.associative
+    match = associative == confluent
+    write = sys.stdout.write
     if args.json:
-        print(json.dumps({
-            "max_len": args.max_len,
-            "associative": report.associative,
-            "confluent": verdict.confluent,
-            "match": match,
-            "counterexamples": [
-                {"u": _names(m, c.u), "v": _names(m, c.v), "w": _names(m, c.w),
-                 "left": _names(m, c.left), "right": _names(m, c.right)}
-                for c in report.counterexamples],
-        }))
+        # each name is quoted once; the layout is json.dumps's for the
+        # dict {"max_len", "associative", "confluent", "match",
+        # "counterexamples": [{"u", "v", "w", "left", "right"}, ...]}
+        q = [json.dumps(n) for n in m.elements]
+
+        def word(w: Word) -> str:
+            return f'[{", ".join([q[c] for c in w])}]'
+        write(f'{{"max_len": {args.max_len}, "associative": {json.dumps(associative)}, '
+              f'"confluent": {json.dumps(confluent)}, "match": {json.dumps(match)}, '
+              '"counterexamples": [')
+        sep = ""
+        for u, v, w, left, right in report.counterexamples:
+            write(f'{sep}{{"u": {word(u)}, "v": {word(v)}, "w": {word(w)}, '
+                  f'"left": {word(left)}, "right": {word(right)}}}')
+            sep = ", "
+        write("]}\n")
     else:
-        print(f"associative up to length {args.max_len}: "
-              f"{'yes' if report.associative else 'no'}")
-        for c in report.counterexamples:
-            print(f"  ({format_word(m, c.u)}, {format_word(m, c.v)}, "
-                  f"{format_word(m, c.w)}): {format_word(m, c.left)} != "
-                  f"{format_word(m, c.right)}")
-        print(f"confluent: {'yes' if verdict.confluent else 'no'}")
-        print(f"verdicts match: {'yes' if match else 'no'}")
-    return EXIT_OK if report.associative else EXIT_NEGATIVE
+        names = m.elements
+
+        def word(w: Word) -> str:
+            return "·".join([names[c] for c in w]) if w else EMPTY_WORD_TOKEN
+        write(f"associative up to length {args.max_len}: "
+              f"{'yes' if associative else 'no'}\n")
+        for u, v, w, left, right in report.counterexamples:
+            write(f"  ({word(u)}, {word(v)}, {word(w)}): {word(left)} != {word(right)}\n")
+        write(f"confluent: {'yes' if confluent else 'no'}\n"
+              f"verdicts match: {'yes' if match else 'no'}\n")
+    return EXIT_OK if associative else EXIT_NEGATIVE
 
 
 def cmd_simulate(args) -> int:

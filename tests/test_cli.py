@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -521,7 +522,7 @@ def test_assoc_letters3_all_json(capsys):
 
 
 def test_assoc_letters3_length2_all_json(capsys):
-    # the full length-2 sweep: 11.1 M triples, 94 % of them skipped
+    # the full length-2 sweep: 671,328 of its 11.1 M triples checked
     code, data, _ = run_json(capsys, "assoc-test", LETTERS3,
                              "--max-len", "2", "--all")
     assert code == cli.EXIT_NEGATIVE
@@ -564,6 +565,20 @@ def test_assoc_too_many_composing_pairs_is_an_error_line(capsys):
     assert code == cli.EXIT_INVALID
     assert out == ""
     assert err == "error: more than 1000000 composing pairs; lower max_len\n"
+
+
+def test_assoc_triple_budget_is_an_error_line(capsys):
+    # 3,111 nonempty words against 599,274 composing pairs, about 1.9e9
+    # triples: the search stops before the pass that would pass the budget
+    start = time.perf_counter()
+    code, out, err = run(capsys, "assoc-test", LETTERS3, "--max-len", "3", "--all")
+    assert time.perf_counter() - start < 15
+    assert (code, out) == (cli.EXIT_INVALID, "")
+    assert err == "error: more than 2000000 triples; lower max_len\n"
+    # without --all the first counterexample comes in the first pass
+    code, out, _ = run(capsys, "assoc-test", LETTERS3, "--max-len", "3")
+    assert code == cli.EXIT_NEGATIVE
+    assert out.splitlines()[1] == "  (a, b, a): ab·a != a·ba"
 
 
 def test_simulate(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmon as P
-from conftest import wrd
+from conftest import relabeled, wrd
 from oracles import brute_assoc_congruence, brute_assoc_counterexamples
 
 
@@ -103,6 +103,79 @@ def test_search_matches_star_folds(ex2, letters3, sample_tables):
             got = [(c.u, c.v, c.w, c.left, c.right)
                    for c in report.counterexamples]
             assert got == want
+
+
+def test_search_at_length_zero_is_empty(letters3, du2):
+    # no letters, so no triples: the one-letter layer starts at length 1
+    for m in (letters3, du2):
+        assert P.associativity_search(m, 0, find_all=True).counterexamples == ()
+
+
+def _identity_off_zero(m, seed):
+    """A seeded relabeling of m with its identity not at index 0."""
+    while True:
+        t = relabeled(m, seed)
+        if t.identity != 0:
+            return t
+        seed += 1000
+
+
+def test_one_letter_layer_matches_brute_force(monkeypatch):
+    # at length 1 a valid table's counterexamples come from its A0 masks,
+    # with no reduction at all; the oracle folds every triple with star
+    rng = random.Random(7)
+    tables = [P.gen_disjoint_union_monoid(k, cap=k) for k in range(1, 6)]
+    tables += [P.gen_no_common_letters_monoid("abc"[:k]) for k in range(1, 4)]
+    tables += [P.random_monoid(rng, n) for n in range(2, 17) for _ in range(3)]
+    tables += [_identity_off_zero(m, i) for i, m in enumerate(tables) if m.size > 1]
+    expected = [brute_assoc_counterexamples(m, 1) for m in tables]
+    star_module = importlib.import_module("parmon.star")
+    monkeypatch.setattr(star_module, "_lstd", None)
+    for m, want in zip(tables, expected):
+        for find_all in (True, False):
+            report = P.associativity_search(m, 1, find_all=find_all)
+            assert list(report.counterexamples) == (want if find_all else want[:1])
+
+
+def test_search_reduces_composing_pairs_on_first_use(letters3, monkeypatch):
+    # at length 3 the first counterexample (a, b, a) ends the first pass
+    # after the pairs ((a), w), for every w that a composes with, and
+    # ((b), (a)): each visited pair is reduced once and its triple's two
+    # sides once each, and the other 598,513 composing pairs never are
+    star_module = importlib.import_module("parmon.star")
+    calls = 0
+
+    def counted(m, w):
+        nonlocal calls
+        calls += 1
+        return P.lstd(m, w)
+    monkeypatch.setattr(star_module, "_lstd", counted)
+    c = P.associativity_search(letters3, 3).counterexample
+    a, b = wrd(letters3, "a"), wrd(letters3, "b")
+    assert (c.u, c.v, c.w) == (a, b, a)
+    words = P.enumerate_irreducible(letters3, 3)[1:]
+    assert words[:2] == [a, b]
+    visited = sum(letters3.rows[a[0]][w[0]] is not None for w in words) + 1
+    assert visited == 761
+    assert calls == 3 * visited
+
+
+def test_triple_budget_is_exact(ex2, letters3, monkeypatch):
+    # ex2 at length 3: 22 nonempty words u against 96 composing pairs,
+    # all checked, since ex2 is associative
+    star_module = importlib.import_module("parmon.star")
+    monkeypatch.setattr(star_module, "MAX_TRIPLES", 22 * 96)
+    assert P.associativity_search(ex2, 3).associative
+    monkeypatch.setattr(star_module, "MAX_TRIPLES", 22 * 96 - 1)
+    with pytest.raises(ValueError, match=f"more than {22 * 96 - 1} triples"):
+        P.associativity_search(ex2, 3)
+    # a search that ends in its first pass answers within a budget of
+    # one pass: letters3 has 3,024 composing pairs at length 2
+    monkeypatch.setattr(star_module, "MAX_TRIPLES", 3024)
+    assert P.associativity_search(letters3, 2).counterexample.u == wrd(letters3, "a")
+    monkeypatch.setattr(star_module, "MAX_TRIPLES", 3023)
+    with pytest.raises(ValueError, match="more than 3023 triples"):
+        P.associativity_search(letters3, 2)
 
 
 def test_composing_pair_cap_is_exact(letters3, monkeypatch):
