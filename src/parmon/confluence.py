@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .monoid import PartialMonoid, totalized
-from .rewriting import normal_forms
+from .rewriting import _sweep
 from .words import Word
 
 
@@ -147,8 +147,9 @@ def newman_check(m: PartialMonoid) -> bool:
     exactly the pairs with a*z defined, so only the bits of
     ``right[y] & ~right[a]`` are left; otherwise every bit of
     ``right[y]`` is walked, and each extra pair converges anyway.
-    Each word's normal forms are computed once, when a pair first needs
-    them.
+    Each word's normal forms are swept once, when a pair first needs
+    them.  The sweep is called directly, never normal_forms, whose fast
+    path reads the A0 verdict this check is meant to confirm.
     """
     rows, right = m.rows, m.right
     T, times = totalized(m)
@@ -157,7 +158,7 @@ def newman_check(m: PartialMonoid) -> bool:
     def nf(w: Word) -> frozenset[Word]:
         f = forms.get(w)
         if f is None:
-            f = forms[w] = normal_forms(m, w)
+            f = forms[w] = _sweep(m, w)
         return f
 
     for x, y, a in m.products:

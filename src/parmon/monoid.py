@@ -57,10 +57,13 @@ class PartialMonoid:
     the canonical sorted tuple of (x, y, x*y) triples read off ``rows``,
     identity rows included.
     Construction checks structural invariants only; the chain law is the
-    job of :func:`validate`.
+    job of :func:`validate`.  ``_unique_forms`` caches whether every word
+    has one normal form (see :mod:`parmon.rewriting`), None until first
+    asked; equality and hashing ignore it.
     """
 
-    __slots__ = ("elements", "identity", "products", "rows", "right", "_index")
+    __slots__ = ("elements", "identity", "products", "rows", "right", "_index",
+                 "_unique_forms")
 
     def __init__(self, elements: Iterable[str], identity: int,
                  products: Mapping[tuple[int, int], int]):
@@ -104,6 +107,7 @@ class PartialMonoid:
         self.products = tuple((x, y, z) for x, row in enumerate(rows)
                               for y, z in enumerate(row) if z is not None)
         self._index = {name: i for i, name in enumerate(elements)}
+        self._unique_forms: Optional[bool] = None
 
     # -------------------------------------------------- basic queries
 

@@ -3,8 +3,14 @@
 Two rule shapes: a two-letter factor whose product is defined contracts
 to the product letter, and an identity letter erases.  Every step
 shortens the word by one, so reduction terminates and the reachable-word
-graph is a finite DAG, layered by word length; normal form sets come from
-one sweep down those layers.
+graph is a finite DAG, layered by word length.
+
+On a valid table (the chain law holds) the system is confluent exactly
+when no fork is A0, and a terminating confluent system gives each word
+exactly one normal form; lstd(w) is one, so it is the one.  normal_forms
+answers such tables from that law.  On every other table, including an
+invalid one with no A0 fork, where a B fork need not rejoin, normal form
+sets come from one sweep down the length layers.
 
 The left standard strategy is the deterministic schedule: erase identity
 letters first (leftmost first), then repeatedly contract the leftmost
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .monoid import PartialMonoid
+from .monoid import PartialMonoid, chain_violations
 from .words import Word, check_word
 
 
@@ -37,11 +43,33 @@ def _steps(m: PartialMonoid, w: Word) -> Iterator[tuple[int, Word]]:
             yield i, w[:i] + (z,) + w[i + 2:]
 
 
-MAX_REACHABLE_WORDS = 1_000_000  # most words normal_forms will visit
+MAX_REACHABLE_WORDS = 1_000_000  # most words the normal form sweep will visit
 
 
 def normal_forms(m: PartialMonoid, w: Word) -> frozenset[Word]:
     """Every irreducible word reachable from w.
+
+    When m is valid and has no A0 fork this is {lstd(w)}, the unique
+    normal form.  Otherwise the reachable words are swept, and more than
+    MAX_REACHABLE_WORDS of them raise ValueError.
+    """
+    check_word(m, w)
+    if _has_unique_forms(m):
+        return frozenset({_lstd(m, w)})
+    return _sweep(m, w)
+
+
+def _has_unique_forms(m: PartialMonoid) -> bool:
+    """Is m valid with no A0 fork?  Computed once per table, then kept."""
+    if m._unique_forms is None:
+        from .confluence import is_confluent  # confluence imports this module
+        m._unique_forms = (next(chain_violations(m), None) is None
+                           and is_confluent(m).confluent)
+    return m._unique_forms
+
+
+def _sweep(m: PartialMonoid, w: Word) -> frozenset[Word]:
+    """The normal forms of a checked word, by sweeping its reachable words.
 
     Identity letters of w are erased first: any step at one of them,
     erasing it or contracting it with a neighbour, gives the word
@@ -51,7 +79,6 @@ def normal_forms(m: PartialMonoid, w: Word) -> frozenset[Word]:
     MAX_REACHABLE_WORDS as a layer grows, so an overflowing layer is
     never built in full.
     """
-    check_word(m, w)
     cap = MAX_REACHABLE_WORDS
     forms = set()
     layer = {tuple(c for c in w if c != m.identity)}

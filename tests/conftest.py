@@ -49,6 +49,17 @@ def du2():
     return P.gen_disjoint_union_monoid(2)
 
 
+def cyclic_group(n):
+    """The cyclic group of order n, g0 the identity."""
+    return P.PartialMonoid([f"g{i}" for i in range(n)], 0,
+                           {(i, j): (i + j) % n for i in range(n) for j in range(n)})
+
+
+@pytest.fixture(scope="session")
+def cyc8():
+    return cyclic_group(8)
+
+
 @pytest.fixture(scope="session")
 def sample_tables():
     """Seeded random_monoid tables, then one mutant of each.

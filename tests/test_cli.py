@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmon
-from conftest import GROUP2_TEXT
+from conftest import GROUP2_TEXT, cyclic_group
 from parmon import cli
 from parmon.monoid import chain_violations
 
@@ -250,6 +250,21 @@ def test_normalize_all_over_the_word_cap(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: more than 1000 reachable words; shorten the word\n"
+
+
+def test_normalize_all_on_a_confluent_table(capsys, tmp_path):
+    # the sweep would pass the reachable-word cap after seconds; on a
+    # valid table with no A0 fork the one normal form is lstd's
+    f = tmp_path / "cyc8.monoid"
+    f.write_text(parmon.serialize_monoid(cyclic_group(8)))
+    word = [f"g{i % 7 + 1}" for i in range(22)]
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "normalize", str(f), *word, "--all")
+    assert (code, out) == (0, "g5\n")
+    assert run(capsys, "normalize", str(f), *word) == (0, out, "")
+    code, data, _ = run_json(capsys, "normalize", str(f), *word, "--all")
+    assert (code, data) == (0, {"input": word, "normal_forms": [["g5"]]})
+    assert time.perf_counter() - start < 2
 
 
 def test_normalize_all_and_trace_is_a_usage_error(capsys):

@@ -10,6 +10,7 @@ import parmon as P
 from conftest import one_product_edits, relabeled
 from oracles import (apply_rule, brute_catenary, brute_chain_violations,
                      brute_classify, generic_critical_pairs)
+from parmon.rewriting import _sweep
 
 
 def classes(triples):
@@ -175,12 +176,15 @@ def test_a0_fork_words_have_multiple_normal_forms(letters3, du2):
 
 
 def test_confluent_words_have_one_normal_form(ex2, group2, trivial):
+    # normal_forms answers these tables from this law, so the sweep checks it
     for m in (ex2, group2, trivial):
         assert P.is_confluent(m).confluent
         n = len(m.elements)
         for length in range(7):
             for w in itertools.product(range(n), repeat=length):
-                assert len(P.normal_forms(m, w)) == 1
+                forms = _sweep(m, w)
+                assert len(forms) == 1
+                assert P.normal_forms(m, w) == forms
 
 
 # ------------------------------------------------------------------ generic pairs
@@ -315,7 +319,7 @@ def _newman_calls(m, monkeypatch):
         return P.normal_forms(m, w)
 
     with monkeypatch.context() as patch:
-        patch.setattr("parmon.confluence.normal_forms", counting)
+        patch.setattr("parmon.confluence._sweep", counting)
         verdict = P.newman_check(m)
     return verdict, calls
 
@@ -330,11 +334,9 @@ def test_newman_stops_at_first_failing_pair(letters3, monkeypatch):
     assert _newman_calls(letters3, monkeypatch) == (False, needed)
 
 
-def test_newman_one_step_pretest_skips_normal_forms(group2, monkeypatch):
+def test_newman_one_step_pretest_skips_normal_forms(group2, cyc8, monkeypatch):
     # in a group every fork is B: each pair contracts in one step to the
     # same letter, so no normal forms are needed at all
-    cyc8 = P.PartialMonoid([f"g{i}" for i in range(8)], 0,
-                           {(i, j): (i + j) % 8 for i in range(8) for j in range(8)})
     for m in (group2, cyc8):
         assert _newman_calls(m, monkeypatch) == (True, [])
 
@@ -344,6 +346,21 @@ def test_newman_normal_forms_calls_on_samples(ex2, sample_tables, monkeypatch):
     for m in (ex2, *sample_tables):
         _, calls = _newman_calls(m, monkeypatch)
         assert calls == _normal_forms_wanted(m)
+
+
+def test_newman_never_reads_the_unique_forms_verdict(ex2, letters3, group2, cyc8,
+                                                    sample_tables, monkeypatch):
+    # the oracle sweeps: it gives the same answers when the fast path of
+    # normal_forms cannot be taken
+    tables = (ex2, letters3, group2, cyc8, *sample_tables)
+    expected = [P.newman_check(m) for m in tables]
+    assert set(expected) == {True, False}
+
+    def refuse(m):
+        raise AssertionError("newman_check read the unique-forms verdict")
+
+    monkeypatch.setattr("parmon.rewriting._has_unique_forms", refuse)
+    assert [P.newman_check(m) for m in tables] == expected
 
 
 def test_mask_walks_match_the_oracles(sample_tables):

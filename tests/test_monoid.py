@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmon as P
-from conftest import EX2_TEXT, one_product_edits, relabeled
+from conftest import EX2_TEXT, cyclic_group, one_product_edits, relabeled
 from oracles import (brute_catenary, brute_chain_scan, brute_chain_violations,
                      brute_closure, brute_indecomposables, table_of,
                      total_associativity_witnesses, totalize)
@@ -216,11 +216,6 @@ def test_validate_lists_violations_in_scan_order(du2, sample_tables):
                 == set(total_associativity_witnesses(totalize(m))))
 
 
-def _cyclic(n):
-    return P.PartialMonoid([f"g{i}" for i in range(n)], 0,
-                           {(i, j): (i + j) % n for i in range(n) for j in range(n)})
-
-
 def _light_generators(m):
     return _generators(m, totalized(m)[0])
 
@@ -229,7 +224,7 @@ def test_generators_generate_and_hold_every_indecomposable(ex2, letters3, du2,
                                                           sample_tables):
     # Light's test is sound only if the generators build the whole
     # totalized table; an indecomposable is in every generating set
-    tables = [ex2, letters3, du2, _cyclic(6), *sample_tables,
+    tables = [ex2, letters3, du2, cyclic_group(6), *sample_tables,
               *(relabeled(P.gen_disjoint_union_monoid(k), k) for k in (3, 4)),
               relabeled(letters3, 3)]
     for m in tables:
@@ -248,7 +243,7 @@ def test_generators_are_the_indecomposables_when_they_generate():
         assert len(_light_generators(m)) == len(brute_indecomposables(m))
     assert len(_light_generators(relabeled(P.gen_disjoint_union_monoid(7, cap=7), 1))) == 7
     # a group has no indecomposables; its generators come from the scan
-    cyc = relabeled(_cyclic(12), 5)
+    cyc = relabeled(cyclic_group(12), 5)
     assert brute_indecomposables(cyc) == set()
     assert brute_closure(cyc, _light_generators(cyc)) == set(range(13))
 
@@ -261,7 +256,7 @@ def test_validate_verdict_on_every_one_product_edit(ex2, letters3):
     seen, reordered = set(), 0
     for m, every_pair in ((ex2, True), (letters3, False), (du3, True),
                           (relabeled(du3, 4), True), (relabeled(letters3, 8), False),
-                          (relabeled(_cyclic(4), 6), True)):
+                          (relabeled(cyclic_group(4), 6), True)):
         rest = m.non_identity()
         if every_pair:
             pairs = [(x, y) for x in rest for y in rest]

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmon as P
-from conftest import wrd
+from conftest import relabeled, wrd
 from oracles import (brute_normal_forms, brute_one_step, brute_reachable,
                      iterated_left_standard, left_standard_schedule,
                      left_standard_successors)
 from parmon import cli
-from parmon.rewriting import _steps
+from parmon.rewriting import _steps, _sweep
 
 
 def all_words(m, max_len):
@@ -103,14 +103,77 @@ def test_normal_forms_are_irreducible_and_reachable(ex2, letters3):
 
 
 def test_confluent_fixture_has_singleton_normal_forms(ex2):
+    # normal_forms answers ex2 from this law, so the brute force checks it
     for w in all_words(ex2, 5):
-        assert len(P.normal_forms(ex2, w)) == 1
+        forms = brute_normal_forms(ex2, w)
+        assert len(forms) == 1
+        assert P.normal_forms(ex2, w) == forms
 
 
 def test_normal_forms_of_a_long_word(ex2):
-    # one layer per letter removed, no recursion: 600 letters is fine
     y = ex2.index("y")
     assert P.normal_forms(ex2, (y,) * 600) == {(y,)}
+
+
+def test_normal_forms_of_a_long_word_are_swept():
+    # one layer per letter removed, no recursion: 600 letters is fine;
+    # ex2 with one more letter u, y u = z: the A0 fork (x, y, u) gives
+    # x·u and x·z
+    m = P.parse_monoid("elements: 1 x y z u\nidentity: 1\n"
+                       "x y = x\ny y = y\ny z = z\ny u = z\n")
+    assert P.validate(m).valid and not P.is_confluent(m).confluent
+    x, y, z, u = (m.index(n) for n in "xyzu")
+    assert P.normal_forms(m, (x, *(y,) * 600, u)) == {(x, u), (x, z)}
+
+
+def _relabeled_off_zero(m, seed):
+    """m relabeled by the first seed from seed on that moves the identity
+    off index 0."""
+    while True:
+        r = relabeled(m, seed)
+        if r.identity != 0:
+            return r
+        seed += 1
+
+
+def _normal_forms_match_brute(m, max_len):
+    for w in all_words(m, max_len):
+        assert P.normal_forms(m, w) == brute_normal_forms(m, w)
+
+
+def test_unique_forms_match_brute_on_confluent_fixtures(ex2, group2, cyc8):
+    for m in (ex2, group2, P.gen_disjoint_union_monoid(1),
+              P.gen_no_common_letters_monoid("a")):
+        _normal_forms_match_brute(m, 5)
+        assert m._unique_forms
+    # the unmemoized brute force takes seconds on cyc8 at length 5; the
+    # sweep, matched with it on the other tables, covers that length
+    _normal_forms_match_brute(cyc8, 4)
+    for w in itertools.product(range(cyc8.size), repeat=5):
+        assert P.normal_forms(cyc8, w) == _sweep(cyc8, w)
+    assert cyc8._unique_forms
+
+
+def test_normal_forms_match_brute_on_random_tables():
+    rng = random.Random(22)
+    taken = set()
+    for seed in range(40):
+        m = P.random_monoid(rng, 5)
+        tables = [m] if m.size == 1 else [m, _relabeled_off_zero(m, seed)]
+        for t in tables:
+            _normal_forms_match_brute(t, 5)
+            taken.add(t._unique_forms)
+    assert taken == {True, False}
+
+
+def test_invalid_tables_are_swept(sample_tables):
+    # on an invalid table a B fork need not rejoin, so "no A0 fork"
+    # proves nothing there; length 4 keeps the brute force to seconds
+    invalid = [m for m in sample_tables if not P.validate(m).valid]
+    assert any(P.is_confluent(m).confluent for m in invalid)
+    for m in invalid:
+        _normal_forms_match_brute(m, 4)
+        assert m._unique_forms is False
 
 
 def test_normal_forms_word_cap(letters3, monkeypatch):
@@ -259,7 +322,7 @@ def test_lstd_equals_iterated_schedule_random(seed):
     for _ in range(20):
         w = tuple(rng.randrange(n) for _ in range(rng.randint(0, 5)))
         assert P.lstd(m, w) == iterated_left_standard(m, w)
-        assert P.lstd(m, w) in P.normal_forms(m, w)
+        assert P.lstd(m, w) in _sweep(m, w)
 
 
 def test_lstd_is_a_normal_form(ex2, letters3):
@@ -267,7 +330,7 @@ def test_lstd_is_a_normal_form(ex2, letters3):
         for w in all_words(m, L):
             nf = P.lstd(m, w)
             assert P.is_irreducible(m, nf)
-            assert nf in P.normal_forms(m, w)
+            assert nf in _sweep(m, w)
 
 
 def test_lstd_examples(ex2, letters3):
