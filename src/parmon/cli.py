@@ -273,7 +273,8 @@ def cmd_magma_demo(args) -> int:
     m = _load_valid(args.file)
     t = magma.parse_tree(m, " ".join(args.tree))
     comb = magma.right_comb(t)
-    down = magma._checked_chain(m, t)
+    magma._checked_shape(m, t)
+    down = magma._chain(m, t)
     up = down if t == comb else magma._chain(m, comb)
     evaluation, comb_eval = down[-1], up[-1]
     convertible = magma._convertible(m, down, up)

@@ -33,10 +33,10 @@ distinct evaluation.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .monoid import EMPTY_WORD_TOKEN, PartialMonoid
-from .rewriting import _apply, _lstd, _lstd_moves, _steps
+from .rewriting import _apply, _lstd, _steps
 from .words import Word, format_word, is_irreducible
 
 
@@ -55,9 +55,7 @@ Shape = tuple[int, ...]
 
 def leaves(t: Tree) -> int:
     """Number of leaves."""
-    if isinstance(t, Leaf):
-        return 1
-    return leaves(t.left) + leaves(t.right)
+    return len(_shape(t)[1])
 
 
 def leaf_labels(t: Tree) -> list[Word]:
@@ -157,12 +155,6 @@ def _checked_shape(m: PartialMonoid, t: Tree) -> tuple[Shape, list[Leaf]]:
     return shape, found
 
 
-def _checked_chain(m: PartialMonoid, t: Tree) -> list[Word]:
-    """_chain(m, t), once t's leaf labels are checked to be irreducible."""
-    _checked_shape(m, t)
-    return _chain(m, t)
-
-
 def _fold(m: PartialMonoid, shape: Shape, labels: list[Word],
           memo: dict[Word, Word]) -> Word:
     """The evaluation of a shape over irreducible leaf labels.
@@ -196,7 +188,9 @@ def _chain(m: PartialMonoid, t: Tree) -> list[Word]:
         return [t.label]
     left, right = _chain(m, t.left), _chain(m, t.right)
     chain = [u + right[0] for u in left] + [left[-1] + u for u in right[1:]]
-    for i, z in _lstd_moves(m, chain[-1]):
+    moves: list[tuple[int, Optional[int]]] = []
+    _lstd(m, chain[-1], moves)
+    for i, z in moves:
         chain.append(_apply(chain[-1], i, z))
     return chain
 

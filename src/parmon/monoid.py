@@ -128,11 +128,6 @@ class PartialMonoid:
         except KeyError:
             raise ValueError(f"unknown element name {name!r}")
 
-    def name(self, i: int) -> str:
-        if not 0 <= i < len(self.elements):
-            raise ValueError(f"unknown element index {i}")
-        return self.elements[i]
-
     def non_identity(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.elements)) if i != self.identity)
 

@@ -19,8 +19,8 @@ freshly produced letter is erased in the same move; the chain law forces
 the prefix left of such a pair to be empty.  The strategy reaches a
 unique normal form, written lstd, and each of its moves is one or two
 plain reduction steps, so lstd(w) is always one of w's normal forms.
-One stack pass computes it; _lstd_moves is that pass recording its plain
-steps, which lstd_trace and the conversions of parmon.magma read.
+One stack pass computes it, and records its plain steps when given a
+list, which lstd_trace and the conversions of parmon.magma replay.
 """
 
 from __future__ import annotations
@@ -105,13 +105,21 @@ def lstd(m: PartialMonoid, w: Word) -> Word:
     return _lstd(m, w)
 
 
-def _lstd(m: PartialMonoid, w: Word) -> Word:
+def _lstd(m: PartialMonoid, w: Word,
+          moves: Optional[list[tuple[int, Optional[int]]]] = None) -> Word:
     """lstd of a word already known to be in range.
 
     Single left-to-right pass: keep the already-irreducible prefix on a
     stack; an incoming letter merges with the stack top while products
     are defined, and a merge to the identity drops both letters.  This
     is exactly the left standard schedule, without its rescans.
+
+    Given a list, the pass appends to moves each plain step (i, z) it
+    makes: the letters at i and i + 1 contract to z, or the letter at i
+    erases when z is None.  The word is the stack, the incoming letter
+    and the unread rest, so a contraction with the stack top sits at
+    len(stack) - 1 and an incoming identity letter is erased at
+    len(stack): an annihilating pair is two steps.
     """
     identity, rows = m.identity, m.rows
     stack: list[int] = []
@@ -123,36 +131,16 @@ def _lstd(m: PartialMonoid, w: Word) -> Word:
                 break
             stack.pop()
             cur = z
+            if moves is not None:
+                moves.append((len(stack), z))
+        else:
+            if moves is not None:
+                moves.append((len(stack), None))
     return tuple(stack)
 
 
-def _lstd_moves(m: PartialMonoid, w: Word) -> Iterator[tuple[int, Optional[int]]]:
-    """_lstd's stack pass on a checked word, yielding each plain step.
-
-    A step (i, z) contracts the letters at i and i + 1 to z, or erases
-    the letter at i when z is None.  The word is the stack, the incoming
-    letter and the unread rest, so a contraction with the stack top sits
-    at len(stack) - 1 and an incoming identity letter is erased at
-    len(stack): an annihilating pair is two steps.  It stays apart from
-    _lstd so that the hot unrecorded pass pays for no recording.
-    """
-    identity, rows = m.identity, m.rows
-    stack: list[int] = []
-    for cur in w:
-        while cur != identity:
-            z = rows[stack[-1]][cur] if stack else None
-            if z is None:
-                stack.append(cur)
-                break
-            stack.pop()
-            cur = z
-            yield len(stack), z
-        else:
-            yield len(stack), None
-
-
 def _apply(w: Word, i: int, z: Optional[int]) -> Word:
-    """The word that the step (i, z) of _lstd_moves makes of w."""
+    """The word that the step (i, z) recorded by _lstd makes of w."""
     return w[:i] + w[i + 1:] if z is None else w[:i] + (z,) + w[i + 2:]
 
 
@@ -175,7 +163,9 @@ def _trace(m: PartialMonoid, w: Word) -> Iterator[tuple[Word, int, Optional[int]
         i = w.index(m.identity)
         yield w, i, None
         w = _apply(w, i, None)
-    moves = _lstd_moves(m, w)
+    recorded: list[tuple[int, Optional[int]]] = []
+    _lstd(m, w, recorded)
+    moves = iter(recorded)
     for i, z in moves:
         yield w, i, z
         w = _apply(w, i, z)

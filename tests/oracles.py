@@ -68,10 +68,14 @@ def brute_irreducible(m, max_len):
 
 
 def brute_one_step(m, w):
-    t = table_of(m)
+    return _one_step(table_of(m), m.identity, w)
+
+
+def _one_step(t, e, w):
+    """brute_one_step over a product dict t and the identity e."""
     out = set()
     for i in range(len(w)):
-        if w[i] == m.identity:
+        if w[i] == e:
             out.add(w[:i] + w[i + 1:])
     for i in range(len(w) - 1):
         if (w[i], w[i + 1]) in t:
@@ -79,15 +83,29 @@ def brute_one_step(m, w):
     return out
 
 
+_forms_of = [None, None, None]  # the last table, its product dict, its memo
+
+
 def brute_normal_forms(m, w):
-    """Unmemoized depth-first exploration of the whole reduction graph."""
-    succ = brute_one_step(m, w)
-    if not succ:
-        return {w}
-    out = set()
-    for r in succ:
-        out |= brute_normal_forms(m, r)
-    return out
+    """Every irreducible word reachable from w by brute_one_step's steps.
+
+    A depth-first search, memoized on each word it reaches.  The product
+    dict and the memo are built once per table and kept while the calls
+    stay on that table, so its words share them.
+    """
+    if _forms_of[0] is not m:
+        _forms_of[:] = [m, table_of(m), {}]
+    _, t, memo = _forms_of
+
+    def forms(u):
+        out = memo.get(u)
+        if out is None:
+            succ = _one_step(t, m.identity, u)
+            out = memo[u] = (frozenset().union(*map(forms, succ)) if succ
+                             else frozenset({u}))
+        return out
+
+    return forms(w)
 
 
 def brute_assoc_counterexamples(m, max_len):

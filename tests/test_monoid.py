@@ -23,7 +23,7 @@ def test_construction_interns_names(ex2):
     assert ex2.identity == 0
     assert ex2.size == 4
     assert ex2.index("y") == 2
-    assert ex2.name(3) == "z"
+    assert ex2.elements[3] == "z"
 
 
 def test_construction_rejects_bad_names():
@@ -338,7 +338,7 @@ def test_catenary_fixtures(ex2, letters3, group2, trivial):
     ok, witness = P.is_catenary(letters3)
     assert not ok
     a, b, a2 = witness
-    assert (letters3.name(a), letters3.name(b), letters3.name(a2)) == ("a", "b", "a")
+    assert (letters3.elements[a], letters3.elements[b], letters3.elements[a2]) == ("a", "b", "a")
 
     assert P.is_catenary(group2) == (True, None)
     assert P.is_catenary(trivial) == (True, None)
@@ -400,7 +400,7 @@ def test_no_common_letters_monoid_shape(letters3):
         "abc", "acb", "bac", "bca", "cab", "cba")
     assert letters3.identity == 0
     ab, c, a = letters3.index("ab"), letters3.index("c"), letters3.index("a")
-    assert letters3.name(letters3.mul(ab, c)) == "abc"
+    assert letters3.elements[letters3.mul(ab, c)] == "abc"
     assert letters3.mul(ab, a) is None
     assert len(letters3.products) == 49
     assert sum(1 for x, y, _ in letters3.products
