@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import parmon as P
 from conftest import one_product_edits, relabeled
 from oracles import (apply_rule, brute_catenary, brute_chain_violations,
-                     brute_classify, generic_critical_pairs)
+                     brute_classify, brute_normal_forms, generic_critical_pairs)
 from parmon.rewriting import _sweep
 
 
@@ -285,14 +285,28 @@ def test_newman_matches_generic_pairs(ex2, letters3, du2, sample_tables):
     assert answers == {True, False}
 
 
+def test_two_letter_words_have_one_normal_form(ex2, letters3, group2, cyc8, du2,
+                                              sample_tables):
+    # the lemma newman_check stands on: eps and a non-identity letter are
+    # irreducible, the identity letter erases, p q is irreducible when p*q
+    # is undefined and otherwise every step leads to the letter p*q, so
+    # every word of at most two letters has one normal form, valid or not
+    tables = (ex2, letters3, group2, cyc8, du2, *sample_tables)
+    assert any(not P.validate(m).valid for m in tables)
+    for m in tables:
+        for length in range(3):
+            for w in itertools.product(range(m.size), repeat=length):
+                assert brute_normal_forms(m, w) == {P.lstd(m, w)}
+
+
 def _normal_forms_wanted(m):
-    """The words whose normal forms newman_check should compute, in order.
+    """The words newman_check should reduce to their lstd, in order.
 
     An overlap pair whose sides contract in one step to the same letter
     converges without them, unless its (x, y) starts a chain-law
-    violation: then every overlap pair of (x, y) needs them.  The
-    words go in pair order, each word once, up to the first pair that
-    does not converge and no further.
+    violation: then every overlap pair of (x, y) needs them.  Both
+    sides of each remaining pair go in, in pair order, up to and
+    including the first pair that does not converge, and no further.
     """
     broken = {(x, y) for x, y, _ in brute_chain_violations(m)}
     wanted = []
@@ -303,9 +317,7 @@ def _normal_forms_wanted(m):
         if (cp.source[:2] not in broken and m.mul(*u) is not None
                 and m.mul(*u) == m.mul(*v)):
             continue
-        for w in (u, v):
-            if w not in wanted:
-                wanted.append(w)
+        wanted += [u, v]
         if not P.normal_forms(m, u) & P.normal_forms(m, v):
             break
     return wanted
@@ -314,12 +326,12 @@ def _normal_forms_wanted(m):
 def _newman_calls(m, monkeypatch):
     calls = []
 
-    def counting(m, w):
+    def recording(m, w):
         calls.append(w)
-        return P.normal_forms(m, w)
+        return P.lstd(m, w)
 
     with monkeypatch.context() as patch:
-        patch.setattr("parmon.confluence._sweep", counting)
+        patch.setattr("parmon.confluence._lstd", recording)
         verdict = P.newman_check(m)
     return verdict, calls
 
@@ -350,8 +362,8 @@ def test_newman_normal_forms_calls_on_samples(ex2, sample_tables, monkeypatch):
 
 def test_newman_never_reads_the_unique_forms_verdict(ex2, letters3, group2, cyc8,
                                                     sample_tables, monkeypatch):
-    # the oracle sweeps: it gives the same answers when the fast path of
-    # normal_forms cannot be taken
+    # the oracle compares the lstd of each pair's sides: it gives the
+    # same answers when neither normal_forms path can be taken
     tables = (ex2, letters3, group2, cyc8, *sample_tables)
     expected = [P.newman_check(m) for m in tables]
     assert set(expected) == {True, False}
@@ -359,7 +371,11 @@ def test_newman_never_reads_the_unique_forms_verdict(ex2, letters3, group2, cyc8
     def refuse(m):
         raise AssertionError("newman_check read the unique-forms verdict")
 
+    def no_sweep(m, w):
+        raise AssertionError("newman_check swept normal forms")
+
     monkeypatch.setattr("parmon.rewriting._has_unique_forms", refuse)
+    monkeypatch.setattr("parmon.rewriting._sweep", no_sweep)
     assert [P.newman_check(m) for m in tables] == expected
 
 
