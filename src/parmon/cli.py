@@ -43,8 +43,7 @@ def _load(path: str) -> PartialMonoid:
 
 def _load_valid(path: str) -> PartialMonoid:
     m = _load(path)
-    first = next(chain_violations(m), None)
-    if first is not None:
+    for first in chain_violations(m):
         raise ValueError(f"{path}: not a valid partial monoid; first violation "
                          f"{_violation_text(m.elements, first)[-1]}")
     return m

@@ -32,12 +32,10 @@ contains the identity letter.  A terminating system is confluent
 exactly when all critical pairs converge, so both routes must agree.
 An inclusion pair has two equal sides: erasing e from e y leaves y,
 and contracting it gives e*y = y (likewise x e), so only the overlaps
-need a walk.  An overlap pair whose two sides contract in one step to
-the same letter converges too; for one (x, y), comparing the row of
-(x*y)*z over every z with the row of x*(y*z), as validate does, finds
-all of them at once when the rows agree, and only the other pairs are
-compared.  Rows differ only on an invalid table, and then every overlap
-pair of (x, y) is.  Both sides of an overlap pair are two-letter words,
+need a walk.  On a table where the chain law holds, an overlap pair
+with a*z defined contracts in one step to one letter on both sides, so
+only the other pairs are compared; on any other table every overlap
+pair is.  Both sides of an overlap pair are two-letter words,
 and a word of at most two letters has exactly one normal form on every
 table, valid or not: its lstd.  So a pair converges exactly when the
 lstd of its two sides agree.
@@ -48,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .monoid import PartialMonoid, totalized
+from .monoid import PartialMonoid, chain_law_holds
 from .rewriting import _lstd
 
 
@@ -143,19 +141,18 @@ def newman_check(m: PartialMonoid) -> bool:
 
     Walks the overlap pairs (a z, x b) of the forks in (x, y, z) order
     and stops at the first pair whose sides share no normal form.  The
-    inclusion pairs have equal sides and need no check, and neither
-    does a pair whose sides contract in one step to the same letter.
-    When the rows of (x*y)*z and x*(y*z) agree over every z, those are
-    exactly the pairs with a*z defined, so only the bits of
-    ``right[y] & ~right[a]`` are left; otherwise every bit of
-    ``right[y]`` is walked, and each extra pair converges anyway.
-    Both sides are two-letter words with one normal form each, their
-    lstd, on any table; the A0 verdict this check confirms is never read.
+    inclusion pairs have equal sides and need no check.  When the table's
+    chain-law verdict holds, a pair with a*z defined contracts in one
+    step to one letter on both sides, so only the bits of
+    ``right[y] & ~right[a]`` are walked; otherwise every bit of
+    ``right[y]`` is.  Both sides are two-letter words with one normal
+    form each, their lstd, on any table; the A0 verdict this check
+    confirms is never read.
     """
     rows, right = m.rows, m.right
-    T, times = totalized(m)
+    valid = chain_law_holds(m)
     for x, y, a in m.products:
-        zs = right[y] & ~right[a] if T[a] == times[y](T[x]) else right[y]
+        zs = right[y] & ~right[a] if valid else right[y]
         if not zs:
             continue
         row_y = rows[y]

@@ -57,13 +57,14 @@ class PartialMonoid:
     the canonical sorted tuple of (x, y, x*y) triples read off ``rows``,
     identity rows included.
     Construction checks structural invariants only; the chain law is the
-    job of :func:`validate`.  ``_unique_forms`` caches whether every word
-    has one normal form (see :mod:`parmon.rewriting`), None until first
-    asked; equality and hashing ignore it.
+    job of :func:`validate`.  ``_valid`` keeps whether the chain law
+    holds, as :func:`chain_violations` decides it, and ``_unique_forms``
+    whether every word has one normal form (see :mod:`parmon.rewriting`);
+    each is None until first asked, and equality and hashing ignore both.
     """
 
     __slots__ = ("elements", "identity", "products", "rows", "right", "_index",
-                 "_unique_forms")
+                 "_valid", "_unique_forms")
 
     def __init__(self, elements: Iterable[str], identity: int,
                  products: Mapping[tuple[int, int], int]):
@@ -107,6 +108,7 @@ class PartialMonoid:
         self.products = tuple((x, y, z) for x, row in enumerate(rows)
                               for y, z in enumerate(row) if z is not None)
         self._index = {name: i for i, name in enumerate(elements)}
+        self._valid: Optional[bool] = None
         self._unique_forms: Optional[bool] = None
 
     # -------------------------------------------------- basic queries
@@ -251,22 +253,28 @@ def chain_violations(m: PartialMonoid) -> Iterator[tuple]:
     The two differ, so at most one of them is None.
 
     The chain law is associativity of the totalization T: adjoin an
-    absorbing zero and send every undefined product to it.  Light's
+    absorbing zero n and send every undefined product to it.  Light's
     associativity test decides that over a generating set of T.  Call y
     good when (x*y)*z = x*(y*z) for all x and z; a product of good
     elements is good, by a proof that never uses associativity, so T is
     associative exactly when every generator is good.  For one (x, y)
-    the two sides over all z are whole rows of T, compared at once.
+    the two sides over all z are whole rows of T, compared at once:
+    ``times[y](T[x])`` is the row of x*(y*z), and ``T[T[x][y]]`` the
+    row of (x*y)*z.  The first step stores that verdict in ``m._valid``,
+    before anything is yielded.
 
     When some generator is not good, the same row comparison runs over
     every (x, y), and only the rows that differ are walked in z to yield
     the violations.
     """
     n = len(m.rows)
-    T, times = totalized(m)
+    T = [tuple(n if z is None else z for z in row) + (n,) for row in m.rows]
+    T.append((n,) * (n + 1))
+    times = [itemgetter(*row) for row in T]
 
-    if all(T[T[x][y]] == times[y](T[x]) for y in _generators(m, T)
-           for x in range(n)):
+    m._valid = all(T[T[x][y]] == times[y](T[x]) for y in _generators(m, T)
+                   for x in range(n))
+    if m._valid:
         return
 
     chain = (*range(n), None)  # chain[c] is c, or None for the zero
@@ -283,21 +291,15 @@ def chain_violations(m: PartialMonoid) -> Iterator[tuple]:
                     yield x, y, z, chain[left], chain[right]
 
 
-def totalized(m: PartialMonoid) -> tuple[list[tuple[int, ...]], list[itemgetter]]:
-    """The totalized table T, zero last, and its row maps.
-
-    T[x][y] is x*y, or the zero n where it is undefined; the zero
-    absorbs everything.  ``times[y](T[x])`` is the row of x*(y*z) over
-    every z, to be compared with the row ``T[T[x][y]]`` of (x*y)*z.
-    """
-    n = len(m.rows)
-    T = [tuple(n if z is None else z for z in row) + (n,) for row in m.rows]
-    T.append((n,) * (n + 1))
-    return T, [itemgetter(*row) for row in T]
+def chain_law_holds(m: PartialMonoid) -> bool:
+    """Does m satisfy the chain law?  Light's test runs once per table."""
+    if m._valid is None:
+        next(chain_violations(m), None)
+    return m._valid
 
 
 def _generators(m: PartialMonoid, T: list[tuple[int, ...]]) -> list[int]:
-    """A greedy generating set of m's totalized table T (zero last).
+    """A greedy generating set of m's totalization T (zero last).
 
     The zero and the identity are good in any table, so they start out
     covered.  An indecomposable element, one that is no product x*y of

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .monoid import PartialMonoid, chain_violations
+from .monoid import PartialMonoid, chain_law_holds
 from .words import Word, check_word
 
 
@@ -63,8 +63,7 @@ def _has_unique_forms(m: PartialMonoid) -> bool:
     """Is m valid with no A0 fork?  Computed once per table, then kept."""
     if m._unique_forms is None:
         from .confluence import is_confluent  # confluence imports this module
-        m._unique_forms = (next(chain_violations(m), None) is None
-                           and is_confluent(m).confluent)
+        m._unique_forms = chain_law_holds(m) and is_confluent(m).confluent
     return m._unique_forms
 
 

@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional
 
 from .confluence import is_confluent, set_bits
 from .magma import Leaf, Node, _chain, _convertible
-from .monoid import PartialMonoid, chain_violations
+from .monoid import PartialMonoid, chain_law_holds
 from .rewriting import _lstd
 from .words import Word, enumerate_irreducible, is_irreducible
 
@@ -97,7 +97,7 @@ def associativity_search(m: PartialMonoid, max_len: int,
     past MAX_TRIPLES.
     """
     rows = m.rows
-    if max_len == 1 and next(chain_violations(m), None) is None:
+    if max_len == 1 and chain_law_holds(m):
         # one A0 fork (x, y, z) each, sharing one word per letter
         letter = [(c,) for c in range(len(rows))]
         a0 = (AssocCounterexample(letter[x], letter[y], letter[z], (a, z), (x, rows[y][z]))

@@ -267,6 +267,25 @@ def test_normalize_all_on_a_confluent_table(capsys, tmp_path):
     assert time.perf_counter() - start < 2
 
 
+def test_one_light_test_per_command(capsys, monkeypatch):
+    # the load check keeps the chain-law verdict on the table, and the
+    # paths behind --all, --max-len 1 and --oracle read it
+    calls = []
+    generators = parmon.monoid._generators
+
+    def counting(m, T):
+        calls.append(m)
+        return generators(m, T)
+
+    monkeypatch.setattr(parmon.monoid, "_generators", counting)
+    for argv in (("normalize", EX2, "x", "y", "z", "--all"),
+                 ("assoc-test", LETTERS3, "--max-len", "1"),
+                 ("confluence", LETTERS3, "--oracle")):
+        run(capsys, *argv)
+        assert len(calls) == 1, argv
+        calls.clear()
+
+
 def test_normalize_all_and_trace_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["normalize", EX2, "x", "y", "--all", "--trace"])

@@ -303,18 +303,18 @@ def _normal_forms_wanted(m):
     """The words newman_check should reduce to their lstd, in order.
 
     An overlap pair whose sides contract in one step to the same letter
-    converges without them, unless its (x, y) starts a chain-law
-    violation: then every overlap pair of (x, y) needs them.  Both
-    sides of each remaining pair go in, in pair order, up to and
-    including the first pair that does not converge, and no further.
+    converges without them, unless the table breaks the chain law: then
+    every overlap pair needs them.  Both sides of each remaining pair go
+    in, in pair order, up to and including the first pair that does not
+    converge, and no further.
     """
-    broken = {(x, y) for x, y, _ in brute_chain_violations(m)}
+    broken = bool(brute_chain_violations(m))
     wanted = []
     for cp in generic_critical_pairs(m):
         if cp.kind != "overlap":
             continue
         u, v = cp.pair
-        if (cp.source[:2] not in broken and m.mul(*u) is not None
+        if (not broken and m.mul(*u) is not None
                 and m.mul(*u) == m.mul(*v)):
             continue
         wanted += [u, v]
@@ -354,7 +354,7 @@ def test_newman_one_step_pretest_skips_normal_forms(group2, cyc8, monkeypatch):
 
 
 def test_newman_normal_forms_calls_on_samples(ex2, sample_tables, monkeypatch):
-    # on invalid tables an (x, y) whose rows differ walks all its pairs
+    # on an invalid table every overlap pair is walked, in pair order
     for m in (ex2, *sample_tables):
         _, calls = _newman_calls(m, monkeypatch)
         assert calls == _normal_forms_wanted(m)

@@ -11,7 +11,7 @@ from conftest import EX2_TEXT, cyclic_group, one_product_edits, relabeled
 from oracles import (brute_catenary, brute_chain_scan, brute_chain_violations,
                      brute_closure, brute_indecomposables, table_of,
                      total_associativity_witnesses, totalize)
-from parmon.monoid import _generators, totalized
+from parmon.monoid import _generators, chain_law_holds
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -217,7 +217,10 @@ def test_validate_lists_violations_in_scan_order(du2, sample_tables):
 
 
 def _light_generators(m):
-    return _generators(m, totalized(m)[0])
+    # the totalized table: undefined products go to an absorbing zero n
+    n = m.size
+    T = [tuple(n if z is None else z for z in row) + (n,) for row in m.rows]
+    return _generators(m, T + [(n,) * (n + 1)])
 
 
 def test_generators_generate_and_hold_every_indecomposable(ex2, letters3, du2,
@@ -270,6 +273,29 @@ def test_validate_verdict_on_every_one_product_edit(ex2, letters3):
             seen.add(not violations)
     assert seen == {True, False}
     assert reordered
+
+
+def test_light_test_runs_once_per_table(monkeypatch):
+    # the first pass keeps its verdict on the table, valid or not, and
+    # every later ask reads it
+    calls = []
+
+    def counting(m, T):
+        calls.append(m)
+        return _generators(m, T)
+
+    monkeypatch.setattr("parmon.monoid._generators", counting)
+    broken = "elements: 1 x y a\nidentity: 1\nx y = a\na a = a\n"
+    for text, valid in ((EX2_TEXT, True), (broken, False)):
+        m = P.parse_monoid(text)
+        assert (chain_law_holds(m), chain_law_holds(m)) == (valid, valid)
+        assert calls == [m]
+        calls.clear()
+        m = P.parse_monoid(text)
+        assert P.validate(m).valid == valid
+        P.newman_check(m)
+        assert calls == [m]
+        calls.clear()
 
 
 def test_validation_report_valid_property():
