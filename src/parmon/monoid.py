@@ -474,7 +474,7 @@ def _random_sparse(rng, max_size: int) -> PartialMonoid:
             m = _shuffled(rng, ["1"] + [f"p{i}" for i in range(1, n)], 0, products)
         except ValueError:
             continue
-        if validate(m).valid:
+        if chain_law_holds(m):
             return m
     return _random_null(rng, max_size)
 

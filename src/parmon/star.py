@@ -1,31 +1,21 @@
 """The induced product on irreducible words.
 
-Concatenate, then take the left standard normal form.  On a confluent
-system this product is associative and turns the irreducible words into
-a monoid isomorphic to the quotient of all words by convertibility; on
-a non-confluent system associativity already fails on one-letter words
-drawn from any A0 fork.  Either way each bracketing of u, v, w is a
-reduct of the plain concatenation, so associativity always holds
+Concatenate, then take the left standard normal form.  Each bracketing
+of u, v, w is a reduct of u + v + w, so associativity always holds
 modulo convertibility; assoc_modulo_congruence checks that on the
 counterexamples alone, since every other triple has equal bracketings.
 
-Bracketing law: for irreducible v and w with v + w irreducible,
-lstd(v + w) = v + w, so both bracketings of u, v, w are lstd(u + v + w)
-and the triple cannot be a counterexample, on any table.  Two
-irreducible words concatenate to an irreducible word exactly when one
-is empty or their boundary letters do not compose.  Nor can u = eps
-fail: both sides are then lstd(v + w), since lstd's output is
-irreducible and so its own lstd, on any table.
+Bracketing law, on any table: if v + w is irreducible (v or w is empty,
+or their boundary letters do not compose), both bracketings of u, v, w
+are lstd(u + v + w); if u = eps, both are lstd(v + w), since lstd's
+output is its own lstd.
 
-One-letter law: on a valid table take non-identity x, y, z with
-b = y*z defined.  If x*y is undefined, both bracketings of
-((x), (y), (z)) are lstd(x b).  If a = x*y is defined and a*z too,
-the chain law gives x*b = a*z.  Otherwise (x, y, z) is an A fork, where
-a and b are never the identity, and the sides are (a, z) and (x, b):
-they differ exactly when the fork is A0.  So at max_len 1 the
-counterexamples are is_confluent's A0 mask bits, in the same (x, y, z)
-order.  On an invalid table the chain law fails, and the search runs
-its loop instead.
+A0 law: on a valid table, a triple (u, v, w) of nonempty irreducible
+words fails exactly when v is one letter y and (u[-1], y, w[0]) is an
+A0 fork (x, y, z), with a = x*y and b = y*z; its sides are then
+u[:-1] + (a,) + w and u + (b,) + w[1:].  So the product is associative
+exactly when the system is confluent; the README's mathematics notes
+prove the law from the chain law and lstd's stack pass.
 """
 
 from __future__ import annotations
@@ -72,37 +62,57 @@ class AssocReport:
         return self.counterexamples[0] if self.counterexamples else None
 
 
-MAX_COMPOSING_PAIRS = 1_000_000  # most (v, w) pairs associativity_search holds
-MAX_TRIPLES = 2_000_000  # most triples associativity_search checks
+MAX_COUNTEREXAMPLES = 1_000_000  # most counterexamples associativity_search builds
+MAX_COMPOSING_PAIRS = 1_000_000  # most (v, w) pairs _triple_search holds
+MAX_TRIPLES = 2_000_000  # most triples _triple_search checks
 
 
-def associativity_search(m: PartialMonoid, max_len: int,
-                         find_all: bool = False) -> AssocReport:
+def associativity_search(m: PartialMonoid, max_len: int, find_all: bool = False) -> AssocReport:
     """Test both bracketings on every irreducible triple up to max_len.
 
-    Triples run in enumeration order (shortest first, then lex), so the
-    first counterexample is deterministic.  With find_all every failing
-    triple is collected instead of stopping at the first.
+    Triples run in enumeration order (shortest first, then lex); the
+    first failing one is returned, or every one with find_all.  On a
+    valid table the A0 law reads them off is_confluent's A0 mask rows,
+    with no word reduced and none longer than one letter enumerated
+    unless find_all meets an A0 fork.  Their count, from the tallies of
+    the words' last and first letters, is held to MAX_COUNTEREXAMPLES
+    before any is built.  On an invalid table it runs _triple_search.
+    """
+    if not chain_law_holds(m):
+        return _triple_search(m, max_len, find_all)
+    rows, a0_rows = m.rows, is_confluent(m).a0_rows
+    if not find_all:  # the first A0 fork's one-letter triple
+        a0_rows, max_len = a0_rows[:1], min(max_len, 1)
+    words = enumerate_irreducible(m, max_len)[1:] if a0_rows else []
+    last, starters = Counter(u[-1] for u in words), Counter()
+    for z, c in Counter(w[0] for w in words).items():
+        starters[c] |= 1 << z  # the mask of the letters that start c words each
+    if sum(last[x] * c * (mask & zs).bit_count() for x, _, _, mask in a0_rows
+           for c, zs in starters.items()) > MAX_COUNTEREXAMPLES:
+        raise ValueError(f"more than {MAX_COUNTEREXAMPLES} counterexamples; lower max_len")
+    starting: list[list[Word]] = [[] for _ in rows]  # (c,) first, for c not the identity
+    for w in words:
+        starting[w[0]].append(w)
+    forks = {x: list(g) for x, g in itertools.groupby(a0_rows, key=lambda r: r[0])}
+    # layers are grouped by first letter, so sorting by length keeps enumeration order
+    found = (AssocCounterexample(u, starting[y][0], w, u[:-1] + starting[a][0] + w,
+                                 u + (rows[y][w[0]],) + w[1:])
+             for u in words for _, y, a, mask in forks.get(u[-1], ())
+             for w in sorted([t for z in set_bits(mask) for t in starting[z]], key=len))
+    return AssocReport(tuple(found if find_all else itertools.islice(found, 1)))
 
-    At max_len 1 on a valid table the counterexamples are read off the
-    A0 masks, by the one-letter law.  Otherwise the triples are tested:
-    every word here is an irreducible word the search built itself, so
-    star is the stack pass of lstd without any of its checks, the range
-    check included; lstd(lstd(s) + t) = lstd(s + t) makes (u*v)*w just
-    lstd(u + v + w).  u = eps is skipped, and by the bracketing law only
-    the (v, w) whose boundary letters compose can fail, so just those
-    pairs are visited, each lstd(v + w) computed on first use.  It
-    raises ValueError past MAX_COMPOSING_PAIRS of them, counted first,
-    and before the first u whose pass would take the checked triples
-    past MAX_TRIPLES.
+
+def _triple_search(m: PartialMonoid, max_len: int, find_all: bool = False) -> AssocReport:
+    """associativity_search by testing the triples, on any table.
+
+    u = eps is skipped, and by the bracketing law only the (v, w) whose
+    boundary letters compose are visited, each lstd(v + w) on first use;
+    (u*v)*w is lstd(u + v + w), unchecked, as every word is built here.
+    Raises ValueError past MAX_COMPOSING_PAIRS pairs, counted first, and
+    before the first u whose pass would take the checked triples past
+    MAX_TRIPLES.  It never reads the A0 masks.
     """
     rows = m.rows
-    if max_len == 1 and chain_law_holds(m):
-        # one A0 fork (x, y, z) each, sharing one word per letter
-        letter = [(c,) for c in range(len(rows))]
-        a0 = (AssocCounterexample(letter[x], letter[y], letter[z], (a, z), (x, rows[y][z]))
-              for x, y, a, mask in is_confluent(m).a0_rows for z in set_bits(mask))
-        return AssocReport(tuple(a0 if find_all else itertools.islice(a0, 1)))
     words = enumerate_irreducible(m, max_len)[1:]
     count = len(words) ** 2  # bounds the composing pairs; counted when a cap may bind
     if count > MAX_COMPOSING_PAIRS or len(words) * count > MAX_TRIPLES:

@@ -3,7 +3,7 @@
 Everything here works straight off the product table with dumb loops and
 no shared code paths with the package internals, so a bug would have to
 appear twice, in two different shapes, to slip through.  The exceptions,
-brute_assoc_counterexamples, brute_assoc_congruence and star_fold, fold
+brute_assoc_triples, brute_assoc_congruence and star_fold, fold
 with the public star product, the definition that the shortcuts of
 associativity_search, assoc_modulo_congruence and evaluate must match.
 The tree oracles rotate and rank nested trees by recursion on the tree,
@@ -108,8 +108,8 @@ def brute_normal_forms(m, w):
     return forms(w)
 
 
-def brute_assoc_counterexamples(m, max_len):
-    """Every irreducible triple up to max_len whose bracketings differ.
+def brute_assoc_triples(m, max_len):
+    """Every irreducible triple up to max_len whose bracketings differ, lazily.
 
     Both bracketings are folded with the checked star product, each
     product of two words computed once; triples in brute_irreducible
@@ -117,13 +117,16 @@ def brute_assoc_counterexamples(m, max_len):
     """
     mul = functools.lru_cache(maxsize=None)(lambda a, b: star(m, a, b))
     irr = brute_irreducible(m, max_len)
-    out = []
     for u, v, w in itertools.product(irr, repeat=3):
         left = mul(mul(u, v), w)
         right = mul(u, mul(v, w))
         if left != right:
-            out.append((u, v, w, left, right))
-    return out
+            yield u, v, w, left, right
+
+
+def brute_assoc_counterexamples(m, max_len):
+    """brute_assoc_triples(m, max_len) as a list."""
+    return list(brute_assoc_triples(m, max_len))
 
 
 def brute_assoc_congruence(m, max_len):

@@ -572,9 +572,10 @@ def test_assoc_letters3_length2_all_json(capsys):
 
 def test_assoc_too_many_words_is_an_error_line(capsys):
     # the enumeration's ValueError becomes an error: line, not a traceback;
-    # at length 5 the words outgrow the letter cap before their pairs count
+    # --all on a table with an A0 fork enumerates every word, and at
+    # length 5 the words outgrow the letter cap
     for max_len in ("5", "9"):
-        code, out, err = run(capsys, "assoc-test", LETTERS3, "--max-len", max_len)
+        code, out, err = run(capsys, "assoc-test", LETTERS3, "--max-len", max_len, "--all")
         assert code == cli.EXIT_INVALID
         assert out == ""
         assert err == ("error: more than 1000000 letters of irreducible words; "
@@ -582,34 +583,53 @@ def test_assoc_too_many_words_is_an_error_line(capsys):
 
 
 def test_assoc_one_letter_table_hits_the_letter_cap(capsys, tmp_path):
-    # one irreducible word per length: 8,000 lengths would hold 32 M
-    # letters, so the cap ends the enumeration near length 1,414
+    # the one-letter table has one irreducible word per length, but no
+    # A0 fork, so it answers at length 8,000 without enumerating any
     path = tmp_path / "one-letter.monoid"
     path.write_text("elements: 1 q\nidentity: 1\n", encoding="utf-8")
-    code, out, err = run(capsys, "assoc-test", str(path), "--max-len", "8000")
+    for extra in ((), ("--all",)):
+        code, out, _ = run(capsys, "assoc-test", str(path), "--max-len", "8000", *extra)
+        assert (code, out.splitlines()[0]) == (cli.EXIT_OK, "associative up to length 8000: yes")
+    # a table with the A0 fork (q, q, q) enumerates its words under --all:
+    # each layer is about 1.6 times the last, so the cap ends the
+    # enumeration at length 21 rather than at 8,000
+    path = tmp_path / "fork.monoid"
+    path.write_text("elements: 1 p q r\nidentity: 1\np p = 1\np q = q\np r = r\n"
+                    "q p = q\nq q = r\nr p = r\n", encoding="utf-8")
+    code, out, err = run(capsys, "assoc-test", str(path), "--max-len", "8000", "--all")
     assert (code, out) == (cli.EXIT_INVALID, "")
     assert err == ("error: more than 1000000 letters of irreducible words; "
                    "lower max_len\n")
+    code, out, _ = run(capsys, "assoc-test", str(path), "--max-len", "8000")
+    assert code == cli.EXIT_NEGATIVE
+    assert out.splitlines()[1] == "  (q, q, q): r·q != q·r"
 
 
 def test_assoc_too_many_composing_pairs_is_an_error_line(capsys):
-    # 43,387 words (170,196 letters) fit the letter cap, but their
-    # composing pairs do not
-    code, out, err = run(capsys, "assoc-test", LETTERS3, "--max-len", "4")
+    # the triple loop runs in random-check: at carriers up to 96 its
+    # pairs outgrow the cap, and the line ends the run
+    code, out, err = run(capsys, "random-check", "--count", "20", "--seed", "0",
+                         "--max-carrier", "96")
     assert code == cli.EXIT_INVALID
     assert out == ""
     assert err == "error: more than 1000000 composing pairs; lower max_len\n"
+    # assoc-test reads the A0 law, so letters3's 43,387 words at length 4
+    # are never paired: without --all it enumerates none of them
+    for max_len in ("4", "9"):
+        code, out, _ = run(capsys, "assoc-test", LETTERS3, "--max-len", max_len)
+        assert code == cli.EXIT_NEGATIVE
+        assert out.splitlines()[1] == "  (a, b, a): ab·a != a·ba"
 
 
 def test_assoc_triple_budget_is_an_error_line(capsys):
-    # 3,111 nonempty words against 599,274 composing pairs, about 1.9e9
-    # triples: the search stops before the pass that would pass the budget
+    # 3,111 nonempty words give 1,732,800 counterexamples at length 3,
+    # counted from the letter tallies before any is built
     start = time.perf_counter()
     code, out, err = run(capsys, "assoc-test", LETTERS3, "--max-len", "3", "--all")
-    assert time.perf_counter() - start < 15
+    assert time.perf_counter() - start < 2
     assert (code, out) == (cli.EXIT_INVALID, "")
-    assert err == "error: more than 2000000 triples; lower max_len\n"
-    # without --all the first counterexample comes in the first pass
+    assert err == "error: more than 1000000 counterexamples; lower max_len\n"
+    # without --all the first counterexample is the first A0 fork's
     code, out, _ = run(capsys, "assoc-test", LETTERS3, "--max-len", "3")
     assert code == cli.EXIT_NEGATIVE
     assert out.splitlines()[1] == "  (a, b, a): ab·a != a·ba"
@@ -750,6 +770,27 @@ def test_random_check_json(capsys):
     assert data["count"] == 8
     assert data["seed"] == 1
     assert data["failures"] == []
+
+
+def test_random_check_runs_the_triple_loop(capsys, monkeypatch):
+    # random-check reads each table's stored chain-law verdict, never
+    # validate, and checks associativity with the triple loop, which
+    # reads no A0 mask, once per table
+    def no_validate(m):
+        raise AssertionError("validate called")
+    monkeypatch.setattr(parmon.monoid, "validate", no_validate)
+    calls = []
+
+    def counted(m, max_len, find_all=False):
+        calls.append(max_len)
+        return search(m, max_len, find_all)
+    search = cli._triple_search
+    monkeypatch.setattr(cli, "_triple_search", counted)
+    code, out, _ = run(capsys, "random-check", "--count", "300", "--seed", "3",
+                       "--max-carrier", "16")
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[-1] == "all verdicts agree"
+    assert calls == [2] * 300
 
 
 def test_random_check_carrier_over_cap(capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import parmon as P
 from conftest import relabeled, wrd
 from oracles import brute_assoc_congruence, brute_assoc_counterexamples
+from parmon.star import _triple_search
 
 
 def test_star_examples(ex2, letters3):
@@ -91,7 +92,7 @@ def test_group2_associative(group2):
 
 
 def test_search_matches_star_folds(ex2, letters3, sample_tables):
-    # the search's lstd shortcuts against both bracketings folded with
+    # the search and the triple loop against both bracketings folded with
     # star; words of length 2 wherever that stays under 10^4 triples
     cases = [(ex2, 3), (letters3, 1)]
     for t in sample_tables:
@@ -99,10 +100,11 @@ def test_search_matches_star_folds(ex2, letters3, sample_tables):
     for m, L in cases:
         expected = brute_assoc_counterexamples(m, L)
         for find_all, want in ((True, expected), (False, expected[:1])):
-            report = P.associativity_search(m, L, find_all=find_all)
-            got = [(c.u, c.v, c.w, c.left, c.right)
-                   for c in report.counterexamples]
-            assert got == want
+            for search in (P.associativity_search, _triple_search):
+                report = search(m, L, find_all=find_all)
+                got = [(c.u, c.v, c.w, c.left, c.right)
+                       for c in report.counterexamples]
+                assert got == want
 
 
 def test_search_at_length_zero_is_empty(letters3, du2):
@@ -121,25 +123,36 @@ def _identity_off_zero(m, seed):
 
 
 def test_one_letter_layer_matches_brute_force(monkeypatch):
-    # at length 1 a valid table's counterexamples come from its A0 masks,
-    # with no reduction at all; the oracle folds every triple with star
+    # at lengths 1-3 a valid table's counterexamples come from its A0
+    # masks, with no reduction at all.  The oracle folds every triple with
+    # star, at length 1 and wherever that stays under 5,000 triples; past
+    # that the triple loop is the reference, on up to 50 words
     rng = random.Random(7)
     tables = [P.gen_disjoint_union_monoid(k, cap=k) for k in range(1, 6)]
     tables += [P.gen_no_common_letters_monoid("abc"[:k]) for k in range(1, 4)]
     tables += [P.random_monoid(rng, n) for n in range(2, 17) for _ in range(3)]
     tables += [_identity_off_zero(m, i) for i, m in enumerate(tables) if m.size > 1]
-    expected = [brute_assoc_counterexamples(m, 1) for m in tables]
+    cases = []
+    for m in tables:
+        for L in (1, 2, 3):
+            words = len(P.enumerate_irreducible(m, L))
+            if L == 1 or words <= 17:
+                cases.append((m, L, brute_assoc_counterexamples(m, L)))
+            elif words <= 50:
+                report = _triple_search(m, L, find_all=True)
+                cases.append((m, L, list(report.counterexamples)))
+    assert sum(L == 3 for _, L, _ in cases) > len(tables) * 3 // 4
     star_module = importlib.import_module("parmon.star")
     monkeypatch.setattr(star_module, "_lstd", None)
-    for m, want in zip(tables, expected):
+    for m, L, want in cases:
         for find_all in (True, False):
-            report = P.associativity_search(m, 1, find_all=find_all)
+            report = P.associativity_search(m, L, find_all=find_all)
             assert list(report.counterexamples) == (want if find_all else want[:1])
 
 
 def test_search_reduces_composing_pairs_on_first_use(letters3, monkeypatch):
-    # at length 3 the first counterexample (a, b, a) ends the first pass
-    # after the pairs ((a), w), for every w that a composes with, and
+    # in the triple loop at length 3 the first counterexample (a, b, a)
+    # ends the first pass after the pairs ((a), w), for every w that a composes with, and
     # ((b), (a)): each visited pair is reduced once and its triple's two
     # sides once each, and the other 598,513 composing pairs never are
     star_module = importlib.import_module("parmon.star")
@@ -150,7 +163,7 @@ def test_search_reduces_composing_pairs_on_first_use(letters3, monkeypatch):
         calls += 1
         return P.lstd(m, w)
     monkeypatch.setattr(star_module, "_lstd", counted)
-    c = P.associativity_search(letters3, 3).counterexample
+    c = _triple_search(letters3, 3).counterexample
     a, b = wrd(letters3, "a"), wrd(letters3, "b")
     assert (c.u, c.v, c.w) == (a, b, a)
     words = P.enumerate_irreducible(letters3, 3)[1:]
@@ -161,34 +174,68 @@ def test_search_reduces_composing_pairs_on_first_use(letters3, monkeypatch):
 
 
 def test_triple_budget_is_exact(ex2, letters3, monkeypatch):
-    # ex2 at length 3: 22 nonempty words u against 96 composing pairs,
-    # all checked, since ex2 is associative
+    # the triple loop on ex2 at length 3: 22 nonempty words u against 96
+    # composing pairs, all checked, since ex2 is associative
     star_module = importlib.import_module("parmon.star")
     monkeypatch.setattr(star_module, "MAX_TRIPLES", 22 * 96)
-    assert P.associativity_search(ex2, 3).associative
+    assert _triple_search(ex2, 3).associative
     monkeypatch.setattr(star_module, "MAX_TRIPLES", 22 * 96 - 1)
     with pytest.raises(ValueError, match=f"more than {22 * 96 - 1} triples"):
-        P.associativity_search(ex2, 3)
+        _triple_search(ex2, 3)
     # a search that ends in its first pass answers within a budget of
     # one pass: letters3 has 3,024 composing pairs at length 2
     monkeypatch.setattr(star_module, "MAX_TRIPLES", 3024)
-    assert P.associativity_search(letters3, 2).counterexample.u == wrd(letters3, "a")
+    assert _triple_search(letters3, 2).counterexample.u == wrd(letters3, "a")
     monkeypatch.setattr(star_module, "MAX_TRIPLES", 3023)
     with pytest.raises(ValueError, match="more than 3023 triples"):
-        P.associativity_search(letters3, 2)
+        _triple_search(letters3, 2)
 
 
 def test_composing_pair_cap_is_exact(letters3, monkeypatch):
-    # the tallies count exactly the pairs the search would hold
+    # the tallies count exactly the pairs the triple loop would hold
     irr = P.enumerate_irreducible(letters3, 2)
     pairs = sum(1 for v, w in itertools.product(irr, repeat=2)
                 if v and w and letters3.rows[v[-1]][w[0]] is not None)
     star_module = importlib.import_module("parmon.star")
     monkeypatch.setattr(star_module, "MAX_COMPOSING_PAIRS", pairs)
-    assert not P.associativity_search(letters3, 2).associative
+    assert not _triple_search(letters3, 2).associative
     monkeypatch.setattr(star_module, "MAX_COMPOSING_PAIRS", pairs - 1)
     with pytest.raises(ValueError, match=f"more than {pairs - 1} composing pairs"):
-        P.associativity_search(letters3, 2)
+        _triple_search(letters3, 2)
+
+
+def test_counterexample_budget_is_exact(letters3, monkeypatch):
+    # the tallies count exactly the 8,748 counterexamples at length 2,
+    # before any is built
+    star_module = importlib.import_module("parmon.star")
+    monkeypatch.setattr(star_module, "MAX_COUNTEREXAMPLES", 8748)
+    assert len(P.associativity_search(letters3, 2, find_all=True).counterexamples) == 8748
+    monkeypatch.setattr(star_module, "MAX_COUNTEREXAMPLES", 8747)
+    with pytest.raises(ValueError, match="more than 8747 counterexamples; lower max_len"):
+        P.associativity_search(letters3, 2, find_all=True)
+
+
+def test_law_enumerates_no_word_on_confluent_tables(ex2, group2, letters3, monkeypatch):
+    # a confluent valid table answers at any length with no word
+    # enumerated; without find_all a table with an A0 fork enumerates
+    # no word longer than one letter
+    star_module = importlib.import_module("parmon.star")
+
+    def unreachable(m, max_len):
+        raise AssertionError("enumerate_irreducible called")
+    monkeypatch.setattr(star_module, "enumerate_irreducible", unreachable)
+    for m in (ex2, group2):
+        for find_all in (True, False):
+            assert P.associativity_search(m, 5, find_all=find_all).associative
+    lengths = []
+
+    def recorded(m, max_len):
+        lengths.append(max_len)
+        return P.enumerate_irreducible(m, max_len)
+    monkeypatch.setattr(star_module, "enumerate_irreducible", recorded)
+    c = P.associativity_search(letters3, 9).counterexample
+    assert (c.u, c.v, c.w) == tuple(wrd(letters3, n) for n in ("a", "b", "a"))
+    assert lengths == [1]
 
 
 def test_counterexamples_verify(letters3):
@@ -246,16 +293,20 @@ def test_congruence_matches_brute_force(ex2, letters3, du2, sample_tables):
 # ------------------------------------------------------------------ the equivalence
 
 def test_associativity_iff_confluence_fixtures(ex2, letters3, group2, trivial, du2):
+    # the triple loop never reads the A0 masks, so it checks the theorem
     for m in (ex2, letters3, group2, trivial, du2):
-        assert (P.associativity_search(m, 2).associative
-                == P.is_confluent(m).confluent)
+        confluent = P.is_confluent(m).confluent
+        assert P.associativity_search(m, 2).associative == confluent
+        assert _triple_search(m, 2).associative == confluent
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_associativity_iff_confluence_random(seed):
     m = P.random_monoid(random.Random(seed))
-    assert P.associativity_search(m, 2).associative == P.is_confluent(m).confluent
+    confluent = P.is_confluent(m).confluent
+    assert P.associativity_search(m, 2).associative == confluent
+    assert _triple_search(m, 2).associative == confluent
 
 
 def test_nonconfluent_fails_already_on_letters(letters3, du2):
