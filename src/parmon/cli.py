@@ -21,7 +21,7 @@ from .confluence import (essential_critical_pairs, is_catenary, is_confluent,
 from .monoid import (EMPTY_WORD_TOKEN, PartialMonoid, ParseError, chain_law_holds,
                      chain_violations, parse_monoid, random_monoid)
 from .rewriting import lstd, lstd_trace, normal_forms
-from .star import _triple_search, associativity_search, star
+from .star import _counterexamples, _triple_search, star
 from .words import Word, format_word, parse_word
 
 EXIT_OK = 0
@@ -215,13 +215,15 @@ def cmd_star(args) -> int:
 
 
 def cmd_assoc_test(args) -> int:
-    """One line, or one JSON array element, per counterexample, from
-    names read once per table."""
+    """One line, or one JSON array element, per counterexample as the
+    search yields it, from names read once per table."""
     m = _load_valid(args.file)
-    report = associativity_search(m, args.max_len, find_all=args.all)
+    found = _counterexamples(m, args.max_len, args.all)
+    first = next(found, None)
+    associative = first is None
     confluent = is_confluent(m).confluent
-    associative = report.associative
     match = associative == confluent
+    rows = () if associative else itertools.chain((first,), found)
     write = sys.stdout.write
     if args.json:
         # each name is quoted once; the layout is json.dumps's for the
@@ -235,7 +237,7 @@ def cmd_assoc_test(args) -> int:
               f'"confluent": {json.dumps(confluent)}, "match": {json.dumps(match)}, '
               '"counterexamples": [')
         sep = ""
-        for u, v, w, left, right in report.counterexamples:
+        for u, v, w, left, right in rows:
             write(f'{sep}{{"u": {word(u)}, "v": {word(v)}, "w": {word(w)}, '
                   f'"left": {word(left)}, "right": {word(right)}}}')
             sep = ", "
@@ -247,7 +249,7 @@ def cmd_assoc_test(args) -> int:
             return "·".join([names[c] for c in w]) if w else EMPTY_WORD_TOKEN
         write(f"associative up to length {args.max_len}: "
               f"{'yes' if associative else 'no'}\n")
-        for u, v, w, left, right in report.counterexamples:
+        for u, v, w, left, right in rows:
             write(f"  ({word(u)}, {word(v)}, {word(w)}): {word(left)} != {word(right)}\n")
         write(f"confluent: {'yes' if confluent else 'no'}\n"
               f"verdicts match: {'yes' if match else 'no'}\n")
@@ -320,7 +322,7 @@ def cmd_random_check(args) -> int:
                 failures.append((i, m, "catenary but not confluent"))
         elif len(m.products) == m.size ** 2:
             failures.append((i, m, "total but not catenary"))
-        if _triple_search(m, 2).associative != verdict.confluent:
+        if (next(_triple_search(m, 2), None) is None) != verdict.confluent:
             failures.append((i, m, "associativity does not match confluence"))
     if args.json:
         print(json.dumps({
@@ -393,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("assoc-test", cmd_assoc_test,
             "search for associativity counterexamples")
     p.add_argument("file")
-    p.add_argument("--max-len", type=_int_at_least(0), default=2)
+    p.add_argument("--max-len", type=_int_at_least(1), default=2)
     p.add_argument("--all", action="store_true",
                    help="collect every counterexample")
 

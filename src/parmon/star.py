@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .confluence import is_confluent, set_bits
 from .magma import Leaf, Node, _chain, _convertible
@@ -62,55 +62,62 @@ class AssocReport:
         return self.counterexamples[0] if self.counterexamples else None
 
 
-MAX_COUNTEREXAMPLES = 1_000_000  # most counterexamples associativity_search builds
+MAX_COUNTEREXAMPLES = 1_000_000  # most counterexamples the A0 law yields
 MAX_COMPOSING_PAIRS = 1_000_000  # most (v, w) pairs _triple_search holds
 MAX_TRIPLES = 2_000_000  # most triples _triple_search checks
 
 
 def associativity_search(m: PartialMonoid, max_len: int, find_all: bool = False) -> AssocReport:
+    """Every counterexample _counterexamples(m, max_len, find_all) yields, in one report."""
+    return AssocReport(tuple(_counterexamples(m, max_len, find_all)))
+
+
+def _counterexamples(m: PartialMonoid, max_len: int, find_all: bool
+                     ) -> Iterator[AssocCounterexample]:
     """Test both bracketings on every irreducible triple up to max_len.
 
     Triples run in enumeration order (shortest first, then lex); the
-    first failing one is returned, or every one with find_all.  On a
+    first failing one is yielded, or every one with find_all.  On a
     valid table the A0 law reads them off is_confluent's A0 mask rows,
     with no word reduced and none longer than one letter enumerated
     unless find_all meets an A0 fork.  Their count, from the tallies of
     the words' last and first letters, is held to MAX_COUNTEREXAMPLES
-    before any is built.  On an invalid table it runs _triple_search.
+    before the first is yielded.  On an invalid table it runs _triple_search.
     """
     if not chain_law_holds(m):
-        return _triple_search(m, max_len, find_all)
-    rows, a0_rows = m.rows, is_confluent(m).a0_rows
-    if not find_all:  # the first A0 fork's one-letter triple
-        a0_rows, max_len = a0_rows[:1], min(max_len, 1)
-    words = enumerate_irreducible(m, max_len)[1:] if a0_rows else []
-    last, starters = Counter(u[-1] for u in words), Counter()
-    for z, c in Counter(w[0] for w in words).items():
-        starters[c] |= 1 << z  # the mask of the letters that start c words each
-    if sum(last[x] * c * (mask & zs).bit_count() for x, _, _, mask in a0_rows
-           for c, zs in starters.items()) > MAX_COUNTEREXAMPLES:
-        raise ValueError(f"more than {MAX_COUNTEREXAMPLES} counterexamples; lower max_len")
-    starting: list[list[Word]] = [[] for _ in rows]  # (c,) first, for c not the identity
-    for w in words:
-        starting[w[0]].append(w)
-    forks = {x: list(g) for x, g in itertools.groupby(a0_rows, key=lambda r: r[0])}
-    # layers are grouped by first letter, so sorting by length keeps enumeration order
-    found = (AssocCounterexample(u, starting[y][0], w, u[:-1] + starting[a][0] + w,
-                                 u + (rows[y][w[0]],) + w[1:])
-             for u in words for _, y, a, mask in forks.get(u[-1], ())
-             for w in sorted([t for z in set_bits(mask) for t in starting[z]], key=len))
-    return AssocReport(tuple(found if find_all else itertools.islice(found, 1)))
+        found = _triple_search(m, max_len)
+    else:
+        rows, a0_rows = m.rows, is_confluent(m).a0_rows
+        if not find_all:  # the first A0 fork's one-letter triple
+            a0_rows, max_len = a0_rows[:1], min(max_len, 1)
+        words = enumerate_irreducible(m, max_len)[1:] if a0_rows else []
+        last, starters = Counter(u[-1] for u in words), Counter()
+        for z, c in Counter(w[0] for w in words).items():
+            starters[c] |= 1 << z  # the mask of the letters that start c words each
+        if sum(last[x] * c * (mask & zs).bit_count() for x, _, _, mask in a0_rows
+               for c, zs in starters.items()) > MAX_COUNTEREXAMPLES:
+            raise ValueError(f"more than {MAX_COUNTEREXAMPLES} counterexamples; lower max_len")
+        starting: list[list[Word]] = [[] for _ in rows]  # (c,) first, for c not the identity
+        for w in words:
+            starting[w[0]].append(w)
+        forks = {x: list(g) for x, g in itertools.groupby(a0_rows, key=lambda r: r[0])}
+        # layers are grouped by first letter, so sorting by length keeps enumeration order
+        found = (AssocCounterexample(u, starting[y][0], w, u[:-1] + starting[a][0] + w,
+                                     u + (rows[y][w[0]],) + w[1:])
+                 for u in words for _, y, a, mask in forks.get(u[-1], ())
+                 for w in sorted([t for z in set_bits(mask) for t in starting[z]], key=len))
+    yield from found if find_all else itertools.islice(found, 1)
 
 
-def _triple_search(m: PartialMonoid, max_len: int, find_all: bool = False) -> AssocReport:
-    """associativity_search by testing the triples, on any table.
+def _triple_search(m: PartialMonoid, max_len: int) -> Iterator[AssocCounterexample]:
+    """Yield _counterexamples' triples by testing them, on any table.
 
     u = eps is skipped, and by the bracketing law only the (v, w) whose
     boundary letters compose are visited, each lstd(v + w) on first use;
     (u*v)*w is lstd(u + v + w), unchecked, as every word is built here.
-    Raises ValueError past MAX_COMPOSING_PAIRS pairs, counted first, and
-    before the first u whose pass would take the checked triples past
-    MAX_TRIPLES.  It never reads the A0 masks.
+    Raises ValueError past MAX_COMPOSING_PAIRS pairs, counted before the
+    first yield, and before the first u whose pass would take the checked
+    triples past MAX_TRIPLES.  It never reads the A0 masks.
     """
     rows = m.rows
     words = enumerate_irreducible(m, max_len)[1:]
@@ -130,32 +137,26 @@ def _triple_search(m: PartialMonoid, max_len: int, find_all: bool = False) -> As
                 pairs.append((v, w, _lstd(m, v + w)))
                 yield pairs[-1]
 
-    found = []
     for k, u in enumerate(words):
         if k == passes:
             raise ValueError(f"more than {MAX_TRIPLES} triples; lower max_len")
         for v, w, vw in (pairs if k else first_pass()):
-            left = _lstd(m, u + v + w)
-            right = _lstd(m, u + vw)
+            left, right = _lstd(m, u + v + w), _lstd(m, u + vw)
             if left != right:
-                found.append(AssocCounterexample(u, v, w, left, right))
-                if not find_all:
-                    return AssocReport(tuple(found))
-    return AssocReport(tuple(found))
+                yield AssocCounterexample(u, v, w, left, right)
 
 
 def assoc_modulo_congruence(m: PartialMonoid, max_len: int
                             ) -> dict[tuple[Word, Word, Word], bool]:
     """Check the counterexample triples' bracketings for convertibility.
 
-    The keys are the counterexamples of associativity_search(m, max_len,
+    The keys are the triples of _counterexamples(m, max_len,
     find_all=True), in its order; every other irreducible triple has
     equal bracketings and needs no check.  Each value certifies, with
     parmon.magma's chains of ((u v) w) and (u (v w)), a conversion
     through u + v + w; that holds on every table.
     """
-    report = associativity_search(m, max_len, find_all=True)
-    return {(c.u, c.v, c.w): _convertible(
-                m, _chain(m, Node(Node(Leaf(c.u), Leaf(c.v)), Leaf(c.w))),
-                _chain(m, Node(Leaf(c.u), Node(Leaf(c.v), Leaf(c.w)))))
-            for c in report.counterexamples}
+    return {(u, v, w): _convertible(
+                m, _chain(m, Node(Node(Leaf(u), Leaf(v)), Leaf(w))),
+                _chain(m, Node(Leaf(u), Node(Leaf(v), Leaf(w)))))
+            for u, v, w, _, _ in _counterexamples(m, max_len, find_all=True)}

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: text, json, exit codes."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -568,6 +569,38 @@ def test_assoc_letters3_length2_all_json(capsys):
         "left": ["ab", "a"], "right": ["a", "ba"]}
 
 
+def test_assoc_all_builds_no_report(capsys, monkeypatch):
+    # assoc-test --all on a table with an A0 fork writes the search's
+    # stream as it comes, and never collects it into an AssocReport
+    def no_report(counterexamples):
+        raise AssertionError("AssocReport built")
+    monkeypatch.setattr(importlib.import_module("parmon.star"), "AssocReport", no_report)
+    code, out, _ = run(capsys, "assoc-test", LETTERS3, "--max-len", "1", "--all")
+    assert code == cli.EXIT_NEGATIVE
+    lines = out.splitlines()
+    assert len(lines) == 1 + 48 + 2
+    assert lines[1] == "  (a, b, a): ab·a != a·ba"
+    code, data, _ = run_json(capsys, "assoc-test", LETTERS3, "--max-len", "1", "--all")
+    assert (code, len(data["counterexamples"])) == (cli.EXIT_NEGATIVE, 48)
+
+
+def test_assoc_all_writes_each_counterexample_as_it_is_found(monkeypatch):
+    # when the search is exhausted, the first line and every counterexample
+    # are already written; only the closing lines follow
+    def watched(m, max_len, find_all):
+        yield from search(m, max_len, find_all)
+        written.append(out.getvalue())
+    search = cli._counterexamples
+    monkeypatch.setattr(cli, "_counterexamples", watched)
+    for extra, tail in (((), "confluent: no\nverdicts match: yes\n"), (("--json",), "]}\n")):
+        written, out = [], io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["assoc-test", LETTERS3, "--max-len", "1", "--all", *extra])
+        assert code == cli.EXIT_NEGATIVE
+        assert written[0] + tail == out.getvalue()
+        assert written[0].count('"left"' if extra else " != ") == 48
+
+
 # ------------------------------------------------------------------ simulate
 
 def test_assoc_too_many_words_is_an_error_line(capsys):
@@ -781,9 +814,9 @@ def test_random_check_runs_the_triple_loop(capsys, monkeypatch):
     monkeypatch.setattr(parmon.monoid, "validate", no_validate)
     calls = []
 
-    def counted(m, max_len, find_all=False):
+    def counted(m, max_len):
         calls.append(max_len)
-        return search(m, max_len, find_all)
+        return search(m, max_len)
     search = cli._triple_search
     monkeypatch.setattr(cli, "_triple_search", counted)
     code, out, _ = run(capsys, "random-check", "--count", "300", "--seed", "3",
@@ -831,10 +864,11 @@ def test_usage_errors():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["assoc-test", EX2, "--max-len", "-3"], "--max-len: must be at least 0"),
+    (["assoc-test", EX2, "--max-len", "-3"], "--max-len: must be at least 1"),
+    (["assoc-test", LETTERS3, "--max-len", "0"], "--max-len: must be at least 1, got 0"),
     (["random-check", "--count", "-2"], "--count: must be at least 0"),
     (["random-check", "--max-carrier", "0"], "--max-carrier: must be at least 1"),
-], ids=["max-len", "count", "max-carrier"])
+], ids=["max-len", "max-len-0", "count", "max-carrier"])
 def test_out_of_range_arguments(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

@@ -1,11 +1,8 @@
-"""The scripts under scripts/ run, and the benchmark's imports resolve."""
+"""The scripts under scripts/ run, and one tiny benchmark pass is correct."""
 
-import ast
-import importlib
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import parmon
@@ -32,21 +29,6 @@ def test_scripts_run():
     assert proc.returncode == 0, (argv, proc.stdout, proc.stderr)
     # --check only reads
     assert _snapshot(FIXTURES) == before
-
-
-def test_benchmark_imports_resolve():
-    # tier-1 never imports perfbench/, so an API trim could break it unseen
-    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
-    names = [alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.module == "parmon"
-             for alias in node.names]
-    assert names
-    importlib.import_module("parmon.cli")  # the one submodule it imports
-    found = {n: getattr(parmon, n, None) for n in names}
-    assert [n for n, obj in found.items() if obj is None] == []
-    # a function dropped from the exports leaves its submodule's name behind
-    assert [n for n, obj in found.items()
-            if isinstance(obj, types.ModuleType)] == ["cli"]
 
 
 def test_benchmark_tiny_pass_is_correct(tmp_path, monkeypatch):

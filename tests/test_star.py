@@ -100,11 +100,10 @@ def test_search_matches_star_folds(ex2, letters3, sample_tables):
     for m, L in cases:
         expected = brute_assoc_counterexamples(m, L)
         for find_all, want in ((True, expected), (False, expected[:1])):
-            for search in (P.associativity_search, _triple_search):
-                report = search(m, L, find_all=find_all)
-                got = [(c.u, c.v, c.w, c.left, c.right)
-                       for c in report.counterexamples]
-                assert got == want
+            triples = _triple_search(m, L)
+            for found in (P.associativity_search(m, L, find_all=find_all).counterexamples,
+                          triples if find_all else itertools.islice(triples, 1)):
+                assert [(c.u, c.v, c.w, c.left, c.right) for c in found] == want
 
 
 def test_search_at_length_zero_is_empty(letters3, du2):
@@ -139,8 +138,7 @@ def test_one_letter_layer_matches_brute_force(monkeypatch):
             if L == 1 or words <= 17:
                 cases.append((m, L, brute_assoc_counterexamples(m, L)))
             elif words <= 50:
-                report = _triple_search(m, L, find_all=True)
-                cases.append((m, L, list(report.counterexamples)))
+                cases.append((m, L, list(_triple_search(m, L))))
     assert sum(L == 3 for _, L, _ in cases) > len(tables) * 3 // 4
     star_module = importlib.import_module("parmon.star")
     monkeypatch.setattr(star_module, "_lstd", None)
@@ -163,7 +161,7 @@ def test_search_reduces_composing_pairs_on_first_use(letters3, monkeypatch):
         calls += 1
         return P.lstd(m, w)
     monkeypatch.setattr(star_module, "_lstd", counted)
-    c = _triple_search(letters3, 3).counterexample
+    c = next(_triple_search(letters3, 3))
     a, b = wrd(letters3, "a"), wrd(letters3, "b")
     assert (c.u, c.v, c.w) == (a, b, a)
     words = P.enumerate_irreducible(letters3, 3)[1:]
@@ -178,17 +176,17 @@ def test_triple_budget_is_exact(ex2, letters3, monkeypatch):
     # composing pairs, all checked, since ex2 is associative
     star_module = importlib.import_module("parmon.star")
     monkeypatch.setattr(star_module, "MAX_TRIPLES", 22 * 96)
-    assert _triple_search(ex2, 3).associative
+    assert list(_triple_search(ex2, 3)) == []
     monkeypatch.setattr(star_module, "MAX_TRIPLES", 22 * 96 - 1)
     with pytest.raises(ValueError, match=f"more than {22 * 96 - 1} triples"):
-        _triple_search(ex2, 3)
+        list(_triple_search(ex2, 3))
     # a search that ends in its first pass answers within a budget of
     # one pass: letters3 has 3,024 composing pairs at length 2
     monkeypatch.setattr(star_module, "MAX_TRIPLES", 3024)
-    assert _triple_search(letters3, 2).counterexample.u == wrd(letters3, "a")
+    assert next(_triple_search(letters3, 2)).u == wrd(letters3, "a")
     monkeypatch.setattr(star_module, "MAX_TRIPLES", 3023)
     with pytest.raises(ValueError, match="more than 3023 triples"):
-        _triple_search(letters3, 2)
+        next(_triple_search(letters3, 2))
 
 
 def test_composing_pair_cap_is_exact(letters3, monkeypatch):
@@ -198,10 +196,10 @@ def test_composing_pair_cap_is_exact(letters3, monkeypatch):
                 if v and w and letters3.rows[v[-1]][w[0]] is not None)
     star_module = importlib.import_module("parmon.star")
     monkeypatch.setattr(star_module, "MAX_COMPOSING_PAIRS", pairs)
-    assert not _triple_search(letters3, 2).associative
+    assert next(_triple_search(letters3, 2), None) is not None
     monkeypatch.setattr(star_module, "MAX_COMPOSING_PAIRS", pairs - 1)
     with pytest.raises(ValueError, match=f"more than {pairs - 1} composing pairs"):
-        _triple_search(letters3, 2)
+        next(_triple_search(letters3, 2))
 
 
 def test_counterexample_budget_is_exact(letters3, monkeypatch):
@@ -297,7 +295,7 @@ def test_associativity_iff_confluence_fixtures(ex2, letters3, group2, trivial, d
     for m in (ex2, letters3, group2, trivial, du2):
         confluent = P.is_confluent(m).confluent
         assert P.associativity_search(m, 2).associative == confluent
-        assert _triple_search(m, 2).associative == confluent
+        assert (next(_triple_search(m, 2), None) is None) == confluent
 
 
 @settings(max_examples=40, deadline=None)
@@ -306,7 +304,7 @@ def test_associativity_iff_confluence_random(seed):
     m = P.random_monoid(random.Random(seed))
     confluent = P.is_confluent(m).confluent
     assert P.associativity_search(m, 2).associative == confluent
-    assert _triple_search(m, 2).associative == confluent
+    assert (next(_triple_search(m, 2), None) is None) == confluent
 
 
 def test_nonconfluent_fails_already_on_letters(letters3, du2):
