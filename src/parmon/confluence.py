@@ -101,22 +101,26 @@ def is_confluent(m: PartialMonoid) -> ConfluenceVerdict:
     """One A0 mask per defined pair, with no walk over its bits.
 
     ``fixed[y]``, the mask of the z with y*z = z, is computed once, and
-    only for a y with some A fork at a pair (x, y) with x*y = x.
+    only for a y with some A fork at a pair (x, y) with x*y = x.  The
+    rows are computed once per table and kept in ``m._a0_rows``; the
+    verdict, which refers to m, is not kept, so m holds no cycle.
     """
-    rows, right = m.rows, m.right
-    fixed: dict[int, int] = {}
-    a0 = []
-    for x, y, a in m.products:
-        mask = right[y] & ~right[a]
-        if mask:
-            if a == x:
-                f = fixed.get(y)
-                if f is None:
-                    f = fixed[y] = sum(1 << z for z, c in enumerate(rows[y]) if c == z)
-                mask &= ~f
+    if m._a0_rows is None:
+        rows, right = m.rows, m.right
+        fixed: dict[int, int] = {}
+        a0 = []
+        for x, y, a in m.products:
+            mask = right[y] & ~right[a]
             if mask:
-                a0.append((x, y, a, mask))
-    return ConfluenceVerdict(m, tuple(a0))
+                if a == x:
+                    f = fixed.get(y)
+                    if f is None:
+                        f = fixed[y] = sum(1 << z for z, c in enumerate(rows[y]) if c == z)
+                    mask &= ~f
+                if mask:
+                    a0.append((x, y, a, mask))
+        m._a0_rows = tuple(a0)
+    return ConfluenceVerdict(m, m._a0_rows)
 
 
 def is_catenary(m: PartialMonoid) -> tuple[bool, Optional[tuple[int, int, int]]]:

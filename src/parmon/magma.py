@@ -29,6 +29,24 @@ it in one convertibility class even when star is not associative, as
 two chains show, with no search.  Trees with one evaluation need one
 certificate, so verify_rotation_invariance builds one chain per
 distinct evaluation.
+
+The rotation closure of t is the Tamari interval above t (Huang and
+Tamari, 1972, on bracket vectors).  Every leaf l >= 1 starts the right
+child of exactly one node; let R_t(l) be that node's last leaf.  Then s
+is in the closure of t exactly when R_s(l) >= R_t(l) for every l >= 1:
+a rotation (t1 t2) t3 -> t1 (t2 t3) raises R at t2's first leaf from
+t2's last leaf to t3's and keeps every other R.  A node of s over
+leaves i..j whose left child ends at leaf k splits before leaf k + 1,
+and R_s(k + 1) = j; since each l >= 1 is split before by one node, the
+law is one local test per node, j >= reach[k + 1] with reach = R_t.  So
+the closure's bracketings of i..j are, over each allowed split, the
+pairs of bracketings of the two halves, and a node's evaluation is
+_lstd of its children's values concatenated.  _evaluations fills a
+chart over leaf intervals with each cell's distinct evaluations, one
+witness shape each, and never lists the closure.  The interval i..j has
+an allowed bracketing exactly when reach[l] <= j for every l in
+i + 1..j, since each such l must be split before by a node inside it;
+every other cell is skipped.
 """
 
 from __future__ import annotations
@@ -149,9 +167,9 @@ def evaluate(m: PartialMonoid, t: Tree) -> Word:
 def _checked_shape(m: PartialMonoid, t: Tree) -> tuple[Shape, list[Leaf]]:
     """_shape(t), once t's leaf labels are checked to be irreducible."""
     shape, found = _shape(t)
-    for leaf in found:
-        if not is_irreducible(m, leaf.label):
-            raise ValueError(f"leaf label {format_word(m, leaf.label)} is not irreducible")
+    for label in dict.fromkeys(leaf.label for leaf in found):
+        if not is_irreducible(m, label):
+            raise ValueError(f"leaf label {format_word(m, label)} is not irreducible")
     return shape, found
 
 
@@ -208,20 +226,75 @@ def _convertible(m: PartialMonoid, down: list[Word], up: list[Word]) -> bool:
         for chain in (down, up) for p, q in zip(chain, chain[1:]))
 
 
+MAX_EVALUATIONS = 50_000  # most evaluations _evaluations holds across its chart
+
+
+def _evaluations(m: PartialMonoid, shape: Shape, labels: list[Word]) -> dict[Word, Shape]:
+    """Each distinct evaluation of the rotation closure of shape, with a witness.
+
+    The witness is one closure shape that folds to the evaluation.  Cell
+    (i, j) of the chart maps each evaluation of the allowed bracketings
+    of leaves i..j to one of them.  With reach[k] the last leaf of the
+    node of shape that splits before leaf k, a split of i..j before leaf
+    k is allowed when j >= reach[k].  Star at a node is _lstd of the
+    concatenation, so memo maps each concatenated word to its _lstd, as
+    in _fold.  More than MAX_EVALUATIONS evaluations across the chart
+    raise ValueError.
+    """
+    n = len(labels)
+    reach = [0] * n
+    entries, todo = iter(shape), [(0, n)]
+    while todo:
+        i, count = todo.pop()
+        if count > 1:
+            k = next(entries)
+            reach[i + k] = i + count - 1
+            todo += (i + k, count - k), (i, k)
+    cells: dict[tuple[int, int], dict[Word, Shape]] = {}
+    memo: dict[Word, Word] = {}
+    held = 0
+    for j in range(n):
+        cells[j, j] = {labels[j]: ()}
+        for i in range(j - 1, -1, -1):
+            if reach[i + 1] > j:
+                break
+            cell = cells[i, j] = {}
+            for k in range(i + 1, j + 1):
+                left = cells.get((i, k - 1))
+                if left is None:
+                    continue
+                right = cells[k, j]
+                for u, left_shape in left.items():
+                    for v, right_shape in right.items():
+                        w = u + v
+                        value = memo.get(w)
+                        if value is None:
+                            value = memo[w] = _lstd(m, w)
+                        if value not in cell:
+                            held += 1
+                            if held > MAX_EVALUATIONS:
+                                raise ValueError(
+                                    f"more than {MAX_EVALUATIONS} subtree evaluations "
+                                    "in the rotation closure; use fewer leaves")
+                            cell[value] = (k - i,) + left_shape + right_shape
+    return cells[0, n - 1]
+
+
 def verify_rotation_invariance(m: PartialMonoid, t: Tree) -> bool:
     """Are the evaluations of all rotations of t interconvertible?
 
-    Rotations keep the leaf sequence, so the labels are checked, and t's
-    chain built, once.  Each closure shape is evaluated by _fold with one
-    memo; for each distinct evaluation other than t's, one tree that has
-    it gets a chain, certified against t's by _convertible, not searched.
+    Rotations keep the leaf sequence, so the labels are checked once.
+    _evaluations gives each distinct evaluation of the closure with one
+    witness shape.  When there is more than one, t's chain is built, and
+    each witness for an evaluation other than t's gets a chain,
+    certified against t's by _convertible, not searched.
     """
     shape, found = _checked_shape(m, t)
+    witness = _evaluations(m, shape, [leaf.label for leaf in found])
+    if len(witness) == 1:
+        return True
     base = _chain(m, t)
-    labels = [leaf.label for leaf in found]
-    memo: dict[Word, Word] = {}
-    witness = {_fold(m, s, labels, memo): s for s in _shape_closure(shape)}
-    witness.pop(base[-1], None)
+    del witness[base[-1]]
     return all(_convertible(m, base, _chain(m, _tree(s, found)))
                for s in witness.values())
 

@@ -58,13 +58,13 @@ class PartialMonoid:
     identity rows included.
     Construction checks structural invariants only; the chain law is the
     job of :func:`validate`.  ``_valid`` keeps whether the chain law
-    holds, as :func:`chain_violations` decides it, and ``_unique_forms``
-    whether every word has one normal form (see :mod:`parmon.rewriting`);
-    each is None until first asked, and equality and hashing ignore both.
+    holds, as :func:`chain_violations` decides it, and ``_a0_rows`` the
+    A0 mask rows of :func:`parmon.confluence.is_confluent`; each is None
+    until first asked, and equality and hashing ignore both.
     """
 
     __slots__ = ("elements", "identity", "products", "rows", "right", "_index",
-                 "_valid", "_unique_forms")
+                 "_valid", "_a0_rows")
 
     def __init__(self, elements: Iterable[str], identity: int,
                  products: Mapping[tuple[int, int], int]):
@@ -109,7 +109,7 @@ class PartialMonoid:
                               for y, z in enumerate(row) if z is not None)
         self._index = {name: i for i, name in enumerate(elements)}
         self._valid: Optional[bool] = None
-        self._unique_forms: Optional[bool] = None
+        self._a0_rows: Optional[tuple[tuple[int, int, int, int], ...]] = None
 
     # -------------------------------------------------- basic queries
 

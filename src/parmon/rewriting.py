@@ -60,11 +60,13 @@ def normal_forms(m: PartialMonoid, w: Word) -> frozenset[Word]:
 
 
 def _has_unique_forms(m: PartialMonoid) -> bool:
-    """Is m valid with no A0 fork?  Computed once per table, then kept."""
-    if m._unique_forms is None:
+    """Is m valid with no A0 fork?  Both facts are kept on the table."""
+    if not chain_law_holds(m):
+        return False
+    if m._a0_rows is None:
         from .confluence import is_confluent  # confluence imports this module
-        m._unique_forms = chain_law_holds(m) and is_confluent(m).confluent
-    return m._unique_forms
+        is_confluent(m)
+    return not m._a0_rows
 
 
 def _sweep(m: PartialMonoid, w: Word) -> frozenset[Word]:

@@ -668,6 +668,28 @@ def test_assoc_triple_budget_is_an_error_line(capsys):
     assert out.splitlines()[1] == "  (a, b, a): ab·a != a·ba"
 
 
+def test_assoc_test_runs_one_mask_pass(capsys, monkeypatch):
+    # the search and the confluent line both read is_confluent's A0
+    # rows; the table keeps them, so only the first call builds them
+    # (a call builds them when it finds none kept or returns new ones)
+    calls = []
+    check = parmon.confluence.is_confluent
+
+    def spy(m):
+        kept = m._a0_rows
+        verdict = check(m)
+        calls.append(kept is None or verdict.a0_rows is not kept)
+        return verdict
+
+    for module in ("parmon.confluence", "parmon.star", "parmon.cli"):
+        monkeypatch.setattr(sys.modules[module], "is_confluent", spy)
+    for argv in ([EX2], [LETTERS3, "--max-len", "2"],
+                 [LETTERS3, "--max-len", "1", "--all", "--json"]):
+        calls.clear()
+        run(capsys, "assoc-test", *argv)
+        assert calls == [True, False]
+
+
 def test_simulate(capsys):
     code, out, _ = run(capsys, "simulate", LETTERS3, "a", "b", "a")
     assert code == 0

@@ -1,6 +1,7 @@
 """Binary trees, rotation, right combs, and evaluation through star."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +234,75 @@ def test_rotation_invariance_rejects_bad_leaf_labels(ex2):
         P.verify_rotation_invariance(ex2, P.Node(P.Leaf((x,)), P.Leaf((4,))))
 
 
+# ------------------------------------------------------------------ evaluation chart
+
+def subtree_folds(m):
+    """star_fold over m, each distinct subtree folded once and kept."""
+    memo = {}
+
+    def fold(t):
+        if t not in memo:
+            memo[t] = (t.label if isinstance(t, P.Leaf)
+                       else P.star(m, fold(t.left), fold(t.right)))
+        return memo[t]
+
+    return fold
+
+
+def test_chart_matches_the_closure_oracle(ex2, letters3, sample_tables):
+    # every shape of 1 to 8 leaves, the leaves labelled in turn by a
+    # table's letters with one empty-word leaf: the root cell holds the
+    # closure's evaluations, each with a witness in the closure folding
+    # to it.  Rotation never reads a label, so each shape's closure is
+    # found once, and the closure's trees share their subtrees' folds.
+    invalid = next(m for m in sample_tables if not P.validate(m).valid)
+    differ = 0
+    for n in range(1, 9):
+        labelled = []
+        for m in (letters3, ex2, invalid):
+            letters = m.non_identity()
+            labels = [(letters[i % len(letters)],) for i in range(n)]
+            labels[n // 2] = ()
+            labelled.append((m, labels, [P.Leaf(label) for label in labels],
+                             subtree_folds(m)))
+        for t in all_shapes([(i,) for i in range(n)]):
+            shape = P.magma._shape(t)[0]
+            closure = {P.magma._shape(s)[0] for s in brute_rotation_closure(t)}
+            for m, labels, found, fold in labelled:
+                cell = P.magma._evaluations(m, shape, labels)
+                assert set(cell) == {fold(P.magma._tree(s, found)) for s in closure}
+                for value, s in cell.items():
+                    assert s in closure and fold(P.magma._tree(s, found)) == value
+                differ += len(cell) > 1
+    assert differ > 0
+
+
+def test_chart_evaluation_cap(letters3, monkeypatch):
+    # the left comb a b c a b c a b c holds 112 evaluations across its chart
+    t = P.parse_tree(letters3, "((((((((a b) c) a) b) c) a) b) c)")
+    monkeypatch.setattr(P.magma, "MAX_EVALUATIONS", 111)
+    with pytest.raises(ValueError, match="more than 111 subtree evaluations"):
+        P.verify_rotation_invariance(letters3, t)
+    monkeypatch.setattr(P.magma, "MAX_EVALUATIONS", 112)
+    assert P.verify_rotation_invariance(letters3, t)
+
+
+def test_long_left_comb_verifies_quickly(letters3, monkeypatch):
+    # its closure has 1,767,263,190 trees, none of them listed, but its
+    # chart holds 5,893 evaluations
+    def refuse(shape):
+        raise AssertionError("the closure was enumerated")
+
+    monkeypatch.setattr(P.magma, "_shape_closure", refuse)
+    names = ("abc" * 7)[:20]
+    t = P.Leaf(wrd(letters3, names[0]))
+    for name in names[1:]:
+        t = P.Node(t, P.Leaf(wrd(letters3, name)))
+    start = time.perf_counter()
+    assert P.verify_rotation_invariance(letters3, t)
+    assert time.perf_counter() - start < 1
+
+
 # ------------------------------------------------------------------ certificates
 
 def assert_chain(m, t):
@@ -264,8 +334,8 @@ def test_evaluate_matches_star_fold(certificate_cases):
 
 
 def test_fold_matches_evaluate_and_chain(certificate_cases):
-    # a left comb's closure is every bracketing of its leaves; its shapes
-    # are folded with one memo, as verify_rotation_invariance does
+    # a left comb's closure is every bracketing of its leaves; folding
+    # all its shapes with one shared memo changes no value
     folded = 0
     for m, trees in certificate_cases:
         for t in trees:

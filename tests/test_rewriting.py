@@ -145,9 +145,9 @@ def test_unique_forms_match_brute_on_confluent_fixtures(ex2, group2, cyc8):
     for m in (ex2, group2, P.gen_disjoint_union_monoid(1),
               P.gen_no_common_letters_monoid("a")):
         _normal_forms_match_brute(m, 5)
-        assert m._unique_forms
+        assert P.rewriting._has_unique_forms(m) and m._a0_rows == ()
     _normal_forms_match_brute(cyc8, 5)
-    assert cyc8._unique_forms
+    assert P.rewriting._has_unique_forms(cyc8) and cyc8._a0_rows == ()
 
 
 def test_normal_forms_match_brute_on_random_tables():
@@ -158,7 +158,7 @@ def test_normal_forms_match_brute_on_random_tables():
         tables = [m] if m.size == 1 else [m, _relabeled_off_zero(m, seed)]
         for t in tables:
             _normal_forms_match_brute(t, 5)
-            taken.add(t._unique_forms)
+            taken.add(P.rewriting._has_unique_forms(t))
     assert taken == {True, False}
 
 
@@ -170,7 +170,7 @@ def test_invalid_tables_are_swept(sample_tables):
     assert any(P.is_confluent(m).confluent for m in invalid)
     for m in invalid:
         _normal_forms_match_brute(m, 5 if m.size <= 7 else 4)
-        assert m._unique_forms is False
+        assert P.rewriting._has_unique_forms(m) is False
 
 
 def test_normal_forms_word_cap(letters3, monkeypatch):
