@@ -161,7 +161,7 @@ def right_comb(t: Tree) -> Tree:
 def evaluate(m: PartialMonoid, t: Tree) -> Word:
     """Multiply the leaf labels with star in t's bracketing."""
     shape, found = _checked_shape(m, t)
-    return _fold(m, shape, [leaf.label for leaf in found], {})
+    return _fold(m, shape, [leaf.label for leaf in found])
 
 
 def _checked_shape(m: PartialMonoid, t: Tree) -> tuple[Shape, list[Leaf]]:
@@ -173,14 +173,14 @@ def _checked_shape(m: PartialMonoid, t: Tree) -> tuple[Shape, list[Leaf]]:
     return shape, found
 
 
-def _fold(m: PartialMonoid, shape: Shape, labels: list[Word],
-          memo: dict[Word, Word]) -> Word:
+def _fold(m: PartialMonoid, shape: Shape, labels: list[Word]) -> Word:
     """The evaluation of a shape over irreducible leaf labels.
 
     Star at a node is _lstd of the concatenation, which alone fixes the
     result, so memo maps each concatenated word to its _lstd.
     """
     entries, rest = iter(shape), iter(labels)
+    memo: dict[Word, Word] = {}
 
     def value(n: int) -> Word:
         k = next(entries)
@@ -226,7 +226,7 @@ def _convertible(m: PartialMonoid, down: list[Word], up: list[Word]) -> bool:
         for chain in (down, up) for p, q in zip(chain, chain[1:]))
 
 
-MAX_EVALUATIONS = 50_000  # most evaluations _evaluations holds across its chart
+MAX_EVALUATIONS = 100_000  # most star evaluations _evaluations tries across its chart
 
 
 def _evaluations(m: PartialMonoid, shape: Shape, labels: list[Word]) -> dict[Word, Shape]:
@@ -236,10 +236,17 @@ def _evaluations(m: PartialMonoid, shape: Shape, labels: list[Word]) -> dict[Wor
     (i, j) of the chart maps each evaluation of the allowed bracketings
     of leaves i..j to one of them.  With reach[k] the last leaf of the
     node of shape that splits before leaf k, a split of i..j before leaf
-    k is allowed when j >= reach[k].  Star at a node is _lstd of the
-    concatenation, so memo maps each concatenated word to its _lstd, as
-    in _fold.  More than MAX_EVALUATIONS evaluations across the chart
-    raise ValueError.
+    k is allowed when j >= reach[k].  Cell (i, j) exists exactly when
+    i..j has an allowed bracketing, and then a split before leaf e + 1
+    is allowed exactly when cell (i, e) exists, so the splits tried are
+    the e that ends[i] lists.  Star at a node is _lstd of the concatenation, so
+    memo maps each concatenated word to its _lstd, as in _fold.
+
+    Each pair of a left and a right value at a split is one star
+    evaluation.  Before a split's pairs are tried they are counted, and
+    more than MAX_EVALUATIONS across the chart raise ValueError.  Every
+    cell has a split and every split a pair, so the count bounds the
+    chart's time and the entries of memo and of every cell.
     """
     n = len(labels)
     reach = [0] * n
@@ -251,19 +258,23 @@ def _evaluations(m: PartialMonoid, shape: Shape, labels: list[Word]) -> dict[Wor
             reach[i + k] = i + count - 1
             todo += (i + k, count - k), (i, k)
     cells: dict[tuple[int, int], dict[Word, Shape]] = {}
+    ends: list[list[int]] = [[] for _ in range(n)]
     memo: dict[Word, Word] = {}
-    held = 0
+    tried = 0
     for j in range(n):
         cells[j, j] = {labels[j]: ()}
+        ends[j].append(j)
         for i in range(j - 1, -1, -1):
             if reach[i + 1] > j:
                 break
-            cell = cells[i, j] = {}
-            for k in range(i + 1, j + 1):
-                left = cells.get((i, k - 1))
-                if left is None:
-                    continue
-                right = cells[k, j]
+            cell: dict[Word, Shape] = {}
+            for e in ends[i]:
+                left, right = cells[i, e], cells[e + 1, j]
+                tried += len(left) * len(right)
+                if tried > MAX_EVALUATIONS:
+                    raise ValueError(
+                        f"more than {MAX_EVALUATIONS} star evaluations "
+                        "in the rotation closure; use fewer leaves")
                 for u, left_shape in left.items():
                     for v, right_shape in right.items():
                         w = u + v
@@ -271,12 +282,9 @@ def _evaluations(m: PartialMonoid, shape: Shape, labels: list[Word]) -> dict[Wor
                         if value is None:
                             value = memo[w] = _lstd(m, w)
                         if value not in cell:
-                            held += 1
-                            if held > MAX_EVALUATIONS:
-                                raise ValueError(
-                                    f"more than {MAX_EVALUATIONS} subtree evaluations "
-                                    "in the rotation closure; use fewer leaves")
-                            cell[value] = (k - i,) + left_shape + right_shape
+                            cell[value] = (e + 1 - i,) + left_shape + right_shape
+            cells[i, j] = cell
+            ends[i].append(j)
     return cells[0, n - 1]
 
 

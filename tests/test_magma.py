@@ -278,29 +278,43 @@ def test_chart_matches_the_closure_oracle(ex2, letters3, sample_tables):
 
 
 def test_chart_evaluation_cap(letters3, monkeypatch):
-    # the left comb a b c a b c a b c holds 112 evaluations across its chart
+    # the left comb a b c a b c a b c tries 318 star evaluations across its chart
     t = P.parse_tree(letters3, "((((((((a b) c) a) b) c) a) b) c)")
-    monkeypatch.setattr(P.magma, "MAX_EVALUATIONS", 111)
-    with pytest.raises(ValueError, match="more than 111 subtree evaluations"):
+    monkeypatch.setattr(P.magma, "MAX_EVALUATIONS", 317)
+    with pytest.raises(ValueError, match="more than 317 star evaluations"):
         P.verify_rotation_invariance(letters3, t)
-    monkeypatch.setattr(P.magma, "MAX_EVALUATIONS", 112)
+    monkeypatch.setattr(P.magma, "MAX_EVALUATIONS", 318)
     assert P.verify_rotation_invariance(letters3, t)
+
+
+def left_comb(m, names):
+    t = P.Leaf(wrd(m, names[0]))
+    for name in names[1:]:
+        t = P.Node(t, P.Leaf(wrd(m, name)))
+    return t
 
 
 def test_long_left_comb_verifies_quickly(letters3, monkeypatch):
     # its closure has 1,767,263,190 trees, none of them listed, but its
-    # chart holds 5,893 evaluations
+    # chart tries 48,256 star evaluations
     def refuse(shape):
         raise AssertionError("the closure was enumerated")
 
     monkeypatch.setattr(P.magma, "_shape_closure", refuse)
-    names = ("abc" * 7)[:20]
-    t = P.Leaf(wrd(letters3, names[0]))
-    for name in names[1:]:
-        t = P.Node(t, P.Leaf(wrd(letters3, name)))
+    t = left_comb(letters3, ("abc" * 7)[:20])
     start = time.perf_counter()
     assert P.verify_rotation_invariance(letters3, t)
     assert time.perf_counter() - start < 1
+
+
+def test_cap_counts_the_evaluations_tried(letters3):
+    # a b b ... b has one evaluation in each cell, but its 201 leaves
+    # give 1,353,400 pairs to try: the cap stops it, and soon
+    t = left_comb(letters3, "a" + "b" * 200)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="star evaluations"):
+        P.verify_rotation_invariance(letters3, t)
+    assert time.perf_counter() - start < 2
 
 
 # ------------------------------------------------------------------ certificates
@@ -334,21 +348,11 @@ def test_evaluate_matches_star_fold(certificate_cases):
 
 
 def test_fold_matches_evaluate_and_chain(certificate_cases):
-    # a left comb's closure is every bracketing of its leaves; folding
-    # all its shapes with one shared memo changes no value
-    folded = 0
     for m, trees in certificate_cases:
         for t in trees:
             shape, found = P.magma._shape(t)
-            if shape != tuple(range(len(shape), 0, -1)):
-                continue
-            labels, memo = P.leaf_labels(t), {}
-            for s in P.magma._shape_closure(shape):
-                tree = P.magma._tree(s, found)
-                value = P.magma._fold(m, s, labels, memo)
-                assert value == P.evaluate(m, tree) == P.magma._chain(m, tree)[-1]
-                folded += 1
-    assert folded == sum(len(trees) for _, trees in certificate_cases)
+            value = P.magma._fold(m, shape, [leaf.label for leaf in found])
+            assert value == P.evaluate(m, t) == P.magma._chain(m, t)[-1]
 
 
 def test_chains_reduce_the_leaf_concatenation(certificate_cases):

@@ -137,39 +137,64 @@ def _relabeled_off_zero(m, seed):
 
 
 def _normal_forms_match_brute(m, max_len):
+    """Check normal_forms against the brute force; the count of words checked."""
+    checked = 0
     for w in all_words(m, max_len):
         assert P.normal_forms(m, w) == brute_normal_forms(m, w)
+        checked += 1
+    return checked
 
 
-def test_unique_forms_match_brute_on_confluent_fixtures(ex2, group2, cyc8):
+def _swept_words(monkeypatch):
+    """A list that collects each word normal_forms hands to _sweep."""
+    swept = []
+
+    def spy(m, w):
+        swept.append(w)
+        return _sweep(m, w)
+
+    monkeypatch.setattr(P.rewriting, "_sweep", spy)
+    return swept
+
+
+def test_unique_forms_match_brute_on_confluent_fixtures(ex2, group2, cyc8, monkeypatch):
+    # normal_forms must answer these from {lstd(w)} alone, never sweeping
+    swept = _swept_words(monkeypatch)
     for m in (ex2, group2, P.gen_disjoint_union_monoid(1),
-              P.gen_no_common_letters_monoid("a")):
+              P.gen_no_common_letters_monoid("a"), cyc8):
         _normal_forms_match_brute(m, 5)
+        assert swept == []
         assert P.rewriting._has_unique_forms(m) and m._a0_rows == ()
-    _normal_forms_match_brute(cyc8, 5)
-    assert P.rewriting._has_unique_forms(cyc8) and cyc8._a0_rows == ()
 
 
-def test_normal_forms_match_brute_on_random_tables():
+def test_normal_forms_match_brute_on_random_tables(monkeypatch):
+    # each table takes one path for every word: {lstd(w)} or the sweep
+    swept = _swept_words(monkeypatch)
     rng = random.Random(22)
     taken = set()
     for seed in range(40):
         m = P.random_monoid(rng, 5)
         tables = [m] if m.size == 1 else [m, _relabeled_off_zero(m, seed)]
         for t in tables:
-            _normal_forms_match_brute(t, 5)
-            taken.add(P.rewriting._has_unique_forms(t))
+            swept.clear()
+            checked = _normal_forms_match_brute(t, 5)
+            assert len(swept) in (0, checked)
+            assert (swept == []) == P.rewriting._has_unique_forms(t)
+            taken.add(swept == [])
     assert taken == {True, False}
 
 
-def test_invalid_tables_are_swept(sample_tables):
+def test_invalid_tables_are_swept(sample_tables, monkeypatch):
     # on an invalid table a B fork need not rejoin, so "no A0 fork"
     # proves nothing there; the sweep alone takes seconds on the
     # 8-element mutants at length 5, so they stop at 4
+    swept = _swept_words(monkeypatch)
     invalid = [m for m in sample_tables if not P.validate(m).valid]
     assert any(P.is_confluent(m).confluent for m in invalid)
     for m in invalid:
-        _normal_forms_match_brute(m, 5 if m.size <= 7 else 4)
+        swept.clear()
+        checked = _normal_forms_match_brute(m, 5 if m.size <= 7 else 4)
+        assert len(swept) == checked > 0
         assert P.rewriting._has_unique_forms(m) is False
 
 
