@@ -274,11 +274,11 @@ def cmd_magma_demo(args) -> int:
     m = _load_valid(args.file)
     t = magma.parse_tree(m, " ".join(args.tree))
     comb = magma.right_comb(t)
-    magma._checked_shape(m, t)
-    down = magma._chain(m, t)
-    up = down if t == comb else magma._chain(m, comb)
+    shape, labels = magma._checked_shape(m, t)
+    down = magma._chain(m, shape, labels)
+    up = down if t == comb else magma._chain(m, (1,) * len(shape), labels)
     evaluation, comb_eval = down[-1], up[-1]
-    convertible = magma._convertible(m, down, up)
+    convertible = magma._convertible(m, [down, up])
     successors = sorted(magma.format_tree(m, s) for s in magma.rotations(t))
     if args.json:
         print(json.dumps({

@@ -22,13 +22,13 @@ terminates, and the rank-zero trees, whose shapes are all ones, are
 exactly the right combs.
 
 A tree's evaluation, its leaf labels multiplied with star in its
-bracketing, is one fold over its shape: each internal node is _lstd of
-its children's values concatenated.  It is also the last word of
-_chain's plain reduction from the leaf concatenation; so rotating keeps
-it in one convertibility class even when star is not associative, as
-two chains show, with no search.  Trees with one evaluation need one
-certificate, so verify_rotation_invariance builds one chain per
-distinct evaluation.
+bracketing, is the last word of _chain's plain reduction from the leaf
+concatenation, built over its shape: each internal node lifts its
+children's chains into one word and reduces it by _lstd's steps.  So
+rotating keeps the evaluation in one convertibility class even when
+star is not associative, as the chains show, with no search.  Trees
+with one evaluation need no certificate, so verify_rotation_invariance
+builds one chain per distinct evaluation and checks each once.
 
 The rotation closure of t is the Tamari interval above t (Huang and
 Tamari, 1972, on bracket vectors).  Every leaf l >= 1 starts the right
@@ -160,70 +160,57 @@ def right_comb(t: Tree) -> Tree:
 
 def evaluate(m: PartialMonoid, t: Tree) -> Word:
     """Multiply the leaf labels with star in t's bracketing."""
-    shape, found = _checked_shape(m, t)
-    return _fold(m, shape, [leaf.label for leaf in found])
+    shape, labels = _checked_shape(m, t)
+    return _chain(m, shape, labels)[-1]
 
 
-def _checked_shape(m: PartialMonoid, t: Tree) -> tuple[Shape, list[Leaf]]:
-    """_shape(t), once t's leaf labels are checked to be irreducible."""
+def _checked_shape(m: PartialMonoid, t: Tree) -> tuple[Shape, list[Word]]:
+    """t's shape and leaf labels, once the labels are checked to be irreducible."""
     shape, found = _shape(t)
-    for label in dict.fromkeys(leaf.label for leaf in found):
+    labels = [leaf.label for leaf in found]
+    for label in dict.fromkeys(labels):
         if not is_irreducible(m, label):
             raise ValueError(f"leaf label {format_word(m, label)} is not irreducible")
-    return shape, found
+    return shape, labels
 
 
-def _fold(m: PartialMonoid, shape: Shape, labels: list[Word]) -> Word:
-    """The evaluation of a shape over irreducible leaf labels.
+def _chain(m: PartialMonoid, shape: Shape, labels: list[Word]) -> list[Word]:
+    """The words of a plain reduction from the leaf concatenation to the evaluation.
 
-    Star at a node is _lstd of the concatenation, which alone fixes the
-    result, so memo maps each concatenated word to its _lstd.
-    """
-    entries, rest = iter(shape), iter(labels)
-    memo: dict[Word, Word] = {}
-
-    def value(n: int) -> Word:
-        k = next(entries)
-        w = ((next(rest) if k == 1 else value(k))
-             + (next(rest) if n - k == 1 else value(n - k)))
-        v = memo.get(w)
-        if v is None:
-            v = memo[w] = _lstd(m, w)
-        return v
-
-    return value(len(labels)) if shape else labels[0]
-
-
-def _chain(m: PartialMonoid, t: Tree) -> list[Word]:
-    """The words of a plain reduction from t's leaf concatenation to t's evaluation.
-
-    t's leaf labels are irreducible, so star at a node is lstd without its
+    The labels are irreducible, so star at a node is lstd without its
     checks.  Reduction is compatible with concatenation: the halves'
     chains, each lifted into the whole word, end at their evaluations
     side by side, and lstd's recorded steps finish it.
     """
-    if isinstance(t, Leaf):
-        return [t.label]
-    left, right = _chain(m, t.left), _chain(m, t.right)
-    chain = [u + right[0] for u in left] + [left[-1] + u for u in right[1:]]
-    moves: list[tuple[int, Optional[int]]] = []
-    _lstd(m, chain[-1], moves)
-    for i, z in moves:
-        chain.append(_apply(chain[-1], i, z))
-    return chain
+    entries, rest = iter(shape), iter(labels)
+
+    def chain(n: int) -> list[Word]:
+        if n == 1:
+            return [next(rest)]
+        k = next(entries)
+        left, right = chain(k), chain(n - k)
+        words = [u + right[0] for u in left] + [left[-1] + u for u in right[1:]]
+        moves: list[tuple[int, Optional[int]]] = []
+        _lstd(m, words[-1], moves)
+        for i, z in moves:
+            words.append(_apply(words[-1], i, z))
+        return words
+
+    return chain(len(labels))
 
 
-def _convertible(m: PartialMonoid, down: list[Word], up: list[Word]) -> bool:
-    """Certify that the last words of two chains, two evaluations, convert.
+def _convertible(m: PartialMonoid, chains: list[list[Word]]) -> bool:
+    """Certify that the last words of the chains, evaluations, all convert.
 
-    Unless the last words are equal, both chains must start at one word
-    and move by plain steps: up one, down the other.
+    Unless the last words are all equal, every chain must start at one
+    word and move by plain steps, so each last word converts to every
+    other through that word.  Each chain is checked once.
     """
-    if down[-1] == up[-1]:
+    if len({chain[-1] for chain in chains}) == 1:
         return True
-    return down[0] == up[0] and all(
+    return len({chain[0] for chain in chains}) == 1 and all(
         q in {r for _, r in _steps(m, p)}
-        for chain in (down, up) for p, q in zip(chain, chain[1:]))
+        for chain in chains for p, q in zip(chain, chain[1:]))
 
 
 MAX_EVALUATIONS = 100_000  # most star evaluations _evaluations tries across its chart
@@ -240,7 +227,7 @@ def _evaluations(m: PartialMonoid, shape: Shape, labels: list[Word]) -> dict[Wor
     i..j has an allowed bracketing, and then a split before leaf e + 1
     is allowed exactly when cell (i, e) exists, so the splits tried are
     the e that ends[i] lists.  Star at a node is _lstd of the concatenation, so
-    memo maps each concatenated word to its _lstd, as in _fold.
+    memo maps each concatenated word to its _lstd.
 
     Each pair of a left and a right value at a split is one star
     evaluation.  Before a split's pairs are tried they are counted, and
@@ -293,18 +280,17 @@ def verify_rotation_invariance(m: PartialMonoid, t: Tree) -> bool:
 
     Rotations keep the leaf sequence, so the labels are checked once.
     _evaluations gives each distinct evaluation of the closure with one
-    witness shape.  When there is more than one, t's chain is built, and
-    each witness for an evaluation other than t's gets a chain,
-    certified against t's by _convertible, not searched.
+    witness shape.  When there is more than one, t's chain and a chain
+    for each witness of an evaluation other than t's are certified
+    together by one _convertible call, not searched.
     """
-    shape, found = _checked_shape(m, t)
-    witness = _evaluations(m, shape, [leaf.label for leaf in found])
+    shape, labels = _checked_shape(m, t)
+    witness = _evaluations(m, shape, labels)
     if len(witness) == 1:
         return True
-    base = _chain(m, t)
+    base = _chain(m, shape, labels)
     del witness[base[-1]]
-    return all(_convertible(m, base, _chain(m, _tree(s, found)))
-               for s in witness.values())
+    return _convertible(m, [base] + [_chain(m, s, labels) for s in witness.values()])
 
 
 # ------------------------------------------------------------------ text form

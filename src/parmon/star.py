@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .confluence import is_confluent, set_bits
-from .magma import Leaf, Node, _chain, _convertible
+from .magma import _chain, _convertible
 from .monoid import PartialMonoid, chain_law_holds
 from .rewriting import _lstd
 from .words import Word, enumerate_irreducible, is_irreducible
@@ -152,11 +152,12 @@ def assoc_modulo_congruence(m: PartialMonoid, max_len: int
 
     The keys are the triples of _counterexamples(m, max_len,
     find_all=True), in its order; every other irreducible triple has
-    equal bracketings and needs no check.  Each value certifies, with
-    parmon.magma's chains of ((u v) w) and (u (v w)), a conversion
-    through u + v + w; that holds on every table.
+    equal bracketings and needs no check.  Each value certifies a
+    conversion through u + v + w with parmon.magma's chains over the
+    labels [u, v, w]: shape (2, 1) is ((u v) w) and (1, 1) is
+    (u (v w)).  The chains are plain reductions on every table, so the
+    certificate holds on invalid tables too.
     """
-    return {(u, v, w): _convertible(
-                m, _chain(m, Node(Node(Leaf(u), Leaf(v)), Leaf(w))),
-                _chain(m, Node(Leaf(u), Node(Leaf(v), Leaf(w)))))
+    return {(u, v, w): _convertible(m, [_chain(m, (2, 1), [u, v, w]),
+                                        _chain(m, (1, 1), [u, v, w])])
             for u, v, w, _, _ in _counterexamples(m, max_len, find_all=True)}

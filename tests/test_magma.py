@@ -319,9 +319,15 @@ def test_cap_counts_the_evaluations_tried(letters3):
 
 # ------------------------------------------------------------------ certificates
 
+def tree_chain(m, t):
+    """t's chain, built over its shape and leaf labels."""
+    shape, found = P.magma._shape(t)
+    return P.magma._chain(m, shape, [leaf.label for leaf in found])
+
+
 def assert_chain(m, t):
     """t's chain steps from its leaf concatenation down to its evaluation."""
-    chain = P.magma._chain(m, t)
+    chain = tree_chain(m, t)
     assert chain[0] == sum(P.leaf_labels(t), ())
     assert chain[-1] == star_fold(m, t)
     for p, q in zip(chain, chain[1:]):
@@ -347,14 +353,6 @@ def test_evaluate_matches_star_fold(certificate_cases):
             assert P.evaluate(m, t) == star_fold(m, t)
 
 
-def test_fold_matches_evaluate_and_chain(certificate_cases):
-    for m, trees in certificate_cases:
-        for t in trees:
-            shape, found = P.magma._shape(t)
-            value = P.magma._fold(m, shape, [leaf.label for leaf in found])
-            assert value == P.evaluate(m, t) == P.magma._chain(m, t)[-1]
-
-
 def test_chains_reduce_the_leaf_concatenation(certificate_cases):
     # on invalid tables too: the argument never uses the chain law
     for m, trees in certificate_cases:
@@ -369,25 +367,25 @@ def test_certificates_agree_with_the_search(certificate_cases):
     differ = 0
     for m, trees in certificate_cases:
         for t in trees:
-            down, up = P.magma._chain(m, t), P.magma._chain(m, P.right_comb(t))
+            down, up = tree_chain(m, t), tree_chain(m, P.right_comb(t))
             u, v = down[-1], up[-1]
             cap = sum(len(label) for label in P.leaf_labels(t))
             assert P.convertible_bounded(m, u, v, cap) is not None
-            assert P.magma._convertible(m, down, up)
+            assert P.magma._convertible(m, [down, up])
             differ += u != v
     assert differ > 0
 
 
 def test_one_certificate_per_distinct_evaluation(certificate_cases, monkeypatch):
-    # every evaluation in the closure other than the tree's own is
-    # certified against the tree's chain, each exactly once (trees of
-    # up to 4 leaves)
-    certified = []
+    # one _convertible call certifies the tree's chain with one chain per
+    # other evaluation in the closure, each exactly once (trees of up to
+    # 4 leaves); a tree with one evaluation needs no call
+    calls = []
     check = P.magma._convertible
 
-    def spy(m, down, up):
-        certified.append(up[-1])
-        return check(m, down, up)
+    def spy(m, chains):
+        calls.append([chain[-1] for chain in chains])
+        return check(m, chains)
 
     monkeypatch.setattr(P.magma, "_convertible", spy)
     differ = 0
@@ -395,26 +393,54 @@ def test_one_certificate_per_distinct_evaluation(certificate_cases, monkeypatch)
         for t in trees:
             if P.leaves(t) > 4:
                 continue
-            certified.clear()
+            calls.clear()
             assert P.verify_rotation_invariance(m, t)
             base = star_fold(m, t)
             others = {star_fold(m, s) for s in brute_rotation_closure(t)} - {base}
-            assert sorted(certified) == sorted(others)
+            if not others:
+                assert calls == []
+                continue
+            [(first, *rest)] = calls
+            assert first == base and sorted(rest) == sorted(others)
             differ += len(others)
     assert differ > 0
 
 
+def test_each_chain_is_checked_once(letters3, monkeypatch):
+    # _steps runs once per step of each chain built: the tree's own
+    # chain is not checked again for each other evaluation
+    t = left_comb(letters3, "abcabc")
+    built, stepped = [], []
+    chain, steps = P.magma._chain, P.magma._steps
+
+    def chain_spy(m, shape, labels):
+        built.append(chain(m, shape, labels))
+        return built[-1]
+
+    def steps_spy(m, w):
+        stepped.append(w)
+        return steps(m, w)
+
+    monkeypatch.setattr(P.magma, "_chain", chain_spy)
+    monkeypatch.setattr(P.magma, "_steps", steps_spy)
+    assert P.verify_rotation_invariance(letters3, t)
+    assert len(built) >= 3  # the tree's own chain and two witnesses at least
+    assert len({c[-1] for c in built}) == len(built)
+    assert sorted(stepped) == sorted(p for c in built for p in c[:-1])
+
+
 def test_certificates_refuse_broken_chains(letters3, pentagon):
-    down = P.magma._chain(letters3, pentagon)
-    up = P.magma._chain(letters3, P.right_comb(pentagon))
+    down = tree_chain(letters3, pentagon)
+    up = tree_chain(letters3, P.right_comb(pentagon))
     u, v = down[-1], up[-1]
-    assert u != v and P.magma._convertible(letters3, down, up)
+    assert u != v and P.magma._convertible(letters3, [down, up])
     # a chain skipping a step, chains from two first words, or a chain
     # with a last word no step from the one before certifies nothing
     assert len(down) > 2
-    assert not P.magma._convertible(letters3, down[::2] + down[-1:], up)
-    assert down[0] != up[1] and not P.magma._convertible(letters3, down, up[1:])
-    assert not P.magma._convertible(letters3, down, up + [u + v])
+    assert not P.magma._convertible(letters3, [down[::2] + down[-1:], up])
+    assert down[0] != up[1] and not P.magma._convertible(letters3, [down, up[1:]])
+    assert not P.magma._convertible(letters3, [down, up, up[1:]])
+    assert not P.magma._convertible(letters3, [down, up + [u + v]])
 
 
 # ------------------------------------------------------------------ text form

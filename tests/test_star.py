@@ -276,9 +276,10 @@ def test_congruence_check_covers_every_triple(ex2, letters3):
 def test_congruence_matches_brute_force(ex2, letters3, du2, sample_tables):
     # every triple is covered: the keys are exactly the triples whose
     # folded bracketings differ, in order, each with the oracle's value,
-    # and the triples left out have equal bracketings
+    # and the triples left out have equal bracketings; on the tables
+    # that break the chain law too, where the certificate still holds
     cases = [(ex2, 2), (letters3, 1), (du2, 1)]
-    cases += [(m, 1) for m in sample_tables if P.validate(m).valid]
+    cases += [(m, 1) for m in sample_tables]
     for m, L in cases:
         got = P.assoc_modulo_congruence(m, L)
         expected = brute_assoc_congruence(m, L)
