@@ -277,8 +277,8 @@ def cmd_magma_demo(args) -> int:
     shape, labels = magma._checked_shape(m, t)
     down = magma._chain(m, shape, labels)
     up = down if t == comb else magma._chain(m, (1,) * len(shape), labels)
-    evaluation, comb_eval = down[-1], up[-1]
-    convertible = magma._convertible(m, [down, up])
+    evaluation, comb_eval = down[0], up[0]
+    convertible = magma._convertible(m, sum(labels, ()), [down, up])
     successors = sorted(magma.format_tree(m, s) for s in magma.rotations(t))
     if args.json:
         print(json.dumps({

@@ -22,13 +22,10 @@ terminates, and the rank-zero trees, whose shapes are all ones, are
 exactly the right combs.
 
 A tree's evaluation, its leaf labels multiplied with star in its
-bracketing, is the last word of _chain's plain reduction from the leaf
-concatenation, built over its shape: each internal node lifts its
-children's chains into one word and reduces it by _lstd's steps.  So
-rotating keeps the evaluation in one convertibility class even when
-star is not associative, as the chains show, with no search.  Trees
-with one evaluation need no certificate, so verify_rotation_invariance
-builds one chain per distinct evaluation and checks each once.
+bracketing, comes with _chain's plain reduction to it from the leaf
+concatenation, _lstd's steps at each node moved to its first letter.
+Rotation keeps that start, so a closure's evaluations convert through
+it with no search, one replayed chain per distinct evaluation.
 
 The rotation closure of t is the Tamari interval above t (Huang and
 Tamari, 1972, on bracket vectors).  Every leaf l >= 1 starts the right
@@ -161,7 +158,7 @@ def right_comb(t: Tree) -> Tree:
 def evaluate(m: PartialMonoid, t: Tree) -> Word:
     """Multiply the leaf labels with star in t's bracketing."""
     shape, labels = _checked_shape(m, t)
-    return _chain(m, shape, labels)[-1]
+    return _chain(m, shape, labels)[0]
 
 
 def _checked_shape(m: PartialMonoid, t: Tree) -> tuple[Shape, list[Word]]:
@@ -174,43 +171,48 @@ def _checked_shape(m: PartialMonoid, t: Tree) -> tuple[Shape, list[Word]]:
     return shape, labels
 
 
-def _chain(m: PartialMonoid, shape: Shape, labels: list[Word]) -> list[Word]:
-    """The words of a plain reduction from the leaf concatenation to the evaluation.
+def _chain(m: PartialMonoid, shape: Shape, labels: list[Word]
+           ) -> tuple[Word, list[tuple[int, Optional[int]]]]:
+    """The evaluation, and the plain steps from the leaf concatenation to it.
 
-    The labels are irreducible, so star at a node is lstd without its
-    checks.  Reduction is compatible with concatenation: the halves'
-    chains, each lifted into the whole word, end at their evaluations
-    side by side, and lstd's recorded steps finish it.
+    The labels are irreducible, so star at a node is _lstd without its
+    checks.  Reduction is compatible with concatenation: a node's left
+    half reduces to u from its first letter at, its right half to v from
+    at + len(u), and _lstd's steps on u + v, moved to at, finish it.
     """
     entries, rest = iter(shape), iter(labels)
+    steps: list[tuple[int, Optional[int]]] = []
 
-    def chain(n: int) -> list[Word]:
+    def chain(n: int, at: int) -> Word:
         if n == 1:
-            return [next(rest)]
+            return next(rest)
         k = next(entries)
-        left, right = chain(k), chain(n - k)
-        words = [u + right[0] for u in left] + [left[-1] + u for u in right[1:]]
+        u = chain(k, at)
+        v = chain(n - k, at + len(u))
         moves: list[tuple[int, Optional[int]]] = []
-        _lstd(m, words[-1], moves)
-        for i, z in moves:
-            words.append(_apply(words[-1], i, z))
-        return words
+        value = _lstd(m, u + v, moves)
+        steps.extend((at + i, z) for i, z in moves)
+        return value
 
-    return chain(len(labels))
+    return chain(len(labels), 0), steps
 
 
-def _convertible(m: PartialMonoid, chains: list[list[Word]]) -> bool:
-    """Certify that the last words of the chains, evaluations, all convert.
+def _convertible(m: PartialMonoid, start: Word,
+                 chains: list[tuple[Word, list[tuple[int, Optional[int]]]]]) -> bool:
+    """Certify that the chains' evaluations all convert through start.
 
-    Unless the last words are all equal, every chain must start at one
-    word and move by plain steps, so each last word converts to every
-    other through that word.  Each chain is checked once.
+    Each chain's steps are replayed once from start: every one must be
+    a plain step, and the last word must be the chain's evaluation.
     """
-    if len({chain[-1] for chain in chains}) == 1:
-        return True
-    return len({chain[0] for chain in chains}) == 1 and all(
-        q in {r for _, r in _steps(m, p)}
-        for chain in chains for p, q in zip(chain, chain[1:]))
+    for value, steps in chains:
+        w = start
+        for i, z in steps:
+            w, before = _apply(w, i, z), w
+            if (i, w) not in _steps(m, before):
+                return False
+        if w != value:
+            return False
+    return True
 
 
 MAX_EVALUATIONS = 100_000  # most star evaluations _evaluations tries across its chart
@@ -279,18 +281,15 @@ def verify_rotation_invariance(m: PartialMonoid, t: Tree) -> bool:
     """Are the evaluations of all rotations of t interconvertible?
 
     Rotations keep the leaf sequence, so the labels are checked once.
-    _evaluations gives each distinct evaluation of the closure with one
-    witness shape.  When there is more than one, t's chain and a chain
-    for each witness of an evaluation other than t's are certified
-    together by one _convertible call, not searched.
+    _evaluations gives each distinct evaluation of the closure, t's own
+    among them, with one witness shape.  When there is more than one,
+    one chain per witness is certified through the leaf concatenation
+    by one _convertible call, not searched.
     """
     shape, labels = _checked_shape(m, t)
     witness = _evaluations(m, shape, labels)
-    if len(witness) == 1:
-        return True
-    base = _chain(m, shape, labels)
-    del witness[base[-1]]
-    return _convertible(m, [base] + [_chain(m, s, labels) for s in witness.values()])
+    return len(witness) == 1 or _convertible(
+        m, sum(labels, ()), [_chain(m, s, labels) for s in witness.values()])
 
 
 # ------------------------------------------------------------------ text form

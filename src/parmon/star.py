@@ -153,11 +153,11 @@ def assoc_modulo_congruence(m: PartialMonoid, max_len: int
     The keys are the triples of _counterexamples(m, max_len,
     find_all=True), in its order; every other irreducible triple has
     equal bracketings and needs no check.  Each value certifies a
-    conversion through u + v + w with parmon.magma's chains over the
-    labels [u, v, w]: shape (2, 1) is ((u v) w) and (1, 1) is
-    (u (v w)).  The chains are plain reductions on every table, so the
-    certificate holds on invalid tables too.
+    conversion through u + v + w by replaying parmon.magma's step
+    chains over the labels [u, v, w]: shape (2, 1) is ((u v) w) and
+    (1, 1) is (u (v w)).  The steps are plain reductions on every table,
+    so the certificate holds on invalid tables too.
     """
-    return {(u, v, w): _convertible(m, [_chain(m, (2, 1), [u, v, w]),
-                                        _chain(m, (1, 1), [u, v, w])])
+    return {(u, v, w): _convertible(m, u + v + w, [_chain(m, (2, 1), [u, v, w]),
+                                                   _chain(m, (1, 1), [u, v, w])])
             for u, v, w, _, _ in _counterexamples(m, max_len, find_all=True)}

@@ -320,17 +320,28 @@ def test_cap_counts_the_evaluations_tried(letters3):
 # ------------------------------------------------------------------ certificates
 
 def tree_chain(m, t):
-    """t's chain, built over its shape and leaf labels."""
+    """t's chain, (evaluation, steps), built over its shape and leaf labels."""
     shape, found = P.magma._shape(t)
     return P.magma._chain(m, shape, [leaf.label for leaf in found])
 
 
+def replay(start, steps):
+    """The words that the steps make of start, start first."""
+    words = [start]
+    for i, z in steps:
+        words.append(P.rewriting._apply(words[-1], i, z))
+    return words
+
+
 def assert_chain(m, t):
     """t's chain steps from its leaf concatenation down to its evaluation."""
-    chain = tree_chain(m, t)
-    assert chain[0] == sum(P.leaf_labels(t), ())
-    assert chain[-1] == star_fold(m, t)
-    for p, q in zip(chain, chain[1:]):
+    value, steps = tree_chain(m, t)
+    start = sum(P.leaf_labels(t), ())
+    assert value == star_fold(m, t)
+    assert len(steps) == len(start) - len(value)
+    words = replay(start, steps)
+    assert words[-1] == value
+    for p, q in zip(words, words[1:]):
         assert q in brute_one_step(m, p)
 
 
@@ -368,24 +379,25 @@ def test_certificates_agree_with_the_search(certificate_cases):
     for m, trees in certificate_cases:
         for t in trees:
             down, up = tree_chain(m, t), tree_chain(m, P.right_comb(t))
-            u, v = down[-1], up[-1]
+            u, v = down[0], up[0]
             cap = sum(len(label) for label in P.leaf_labels(t))
             assert P.convertible_bounded(m, u, v, cap) is not None
-            assert P.magma._convertible(m, [down, up])
+            assert P.magma._convertible(m, sum(P.leaf_labels(t), ()), [down, up])
             differ += u != v
     assert differ > 0
 
 
 def test_one_certificate_per_distinct_evaluation(certificate_cases, monkeypatch):
-    # one _convertible call certifies the tree's chain with one chain per
-    # other evaluation in the closure, each exactly once (trees of up to
-    # 4 leaves); a tree with one evaluation needs no call
+    # one _convertible call from the leaf concatenation certifies one
+    # chain per distinct evaluation in the closure, the tree's own among
+    # them, each exactly once (trees of up to 4 leaves); a tree with one
+    # evaluation needs no call
     calls = []
     check = P.magma._convertible
 
-    def spy(m, chains):
-        calls.append([chain[-1] for chain in chains])
-        return check(m, chains)
+    def spy(m, start, chains):
+        calls.append((start, [value for value, _ in chains]))
+        return check(m, start, chains)
 
     monkeypatch.setattr(P.magma, "_convertible", spy)
     differ = 0
@@ -395,21 +407,22 @@ def test_one_certificate_per_distinct_evaluation(certificate_cases, monkeypatch)
                 continue
             calls.clear()
             assert P.verify_rotation_invariance(m, t)
-            base = star_fold(m, t)
-            others = {star_fold(m, s) for s in brute_rotation_closure(t)} - {base}
-            if not others:
+            values = {star_fold(m, s) for s in brute_rotation_closure(t)}
+            if len(values) == 1:
                 assert calls == []
                 continue
-            [(first, *rest)] = calls
-            assert first == base and sorted(rest) == sorted(others)
-            differ += len(others)
+            [(start, got)] = calls
+            assert start == sum(P.leaf_labels(t), ())
+            assert sorted(got) == sorted(values)
+            differ += len(values) - 1
     assert differ > 0
 
 
 def test_each_chain_is_checked_once(letters3, monkeypatch):
-    # _steps runs once per step of each chain built: the tree's own
-    # chain is not checked again for each other evaluation
+    # _steps runs once per step of each chain built, on the word that
+    # step starts from: no chain is replayed twice
     t = left_comb(letters3, "abcabc")
+    start = sum(P.leaf_labels(t), ())
     built, stepped = [], []
     chain, steps = P.magma._chain, P.magma._steps
 
@@ -424,23 +437,36 @@ def test_each_chain_is_checked_once(letters3, monkeypatch):
     monkeypatch.setattr(P.magma, "_chain", chain_spy)
     monkeypatch.setattr(P.magma, "_steps", steps_spy)
     assert P.verify_rotation_invariance(letters3, t)
-    assert len(built) >= 3  # the tree's own chain and two witnesses at least
-    assert len({c[-1] for c in built}) == len(built)
-    assert sorted(stepped) == sorted(p for c in built for p in c[:-1])
+    assert len(built) >= 3  # one chain per distinct evaluation, three at least
+    assert len({value for value, _ in built}) == len(built)
+    assert len(stepped) == sum(len(s) for _, s in built)
+    assert sorted(stepped) == sorted(p for _, s in built for p in replay(start, s)[:-1])
 
 
 def test_certificates_refuse_broken_chains(letters3, pentagon):
+    start = sum(P.leaf_labels(pentagon), ())
     down = tree_chain(letters3, pentagon)
     up = tree_chain(letters3, P.right_comb(pentagon))
-    u, v = down[-1], up[-1]
-    assert u != v and P.magma._convertible(letters3, [down, up])
-    # a chain skipping a step, chains from two first words, or a chain
-    # with a last word no step from the one before certifies nothing
-    assert len(down) > 2
-    assert not P.magma._convertible(letters3, [down[::2] + down[-1:], up])
-    assert down[0] != up[1] and not P.magma._convertible(letters3, [down, up[1:]])
-    assert not P.magma._convertible(letters3, [down, up, up[1:]])
-    assert not P.magma._convertible(letters3, [down, up + [u + v]])
+    (u, steps), (v, _) = down, up
+
+    def certifies(*chains, start=start):
+        return P.magma._convertible(letters3, start, list(chains))
+
+    assert u != v and certifies(down, up)
+    # a chain with a step dropped, moved one position or contracting to
+    # another letter, chains from another start, or a chain ending at a
+    # word other than its evaluation certifies nothing, and raises nothing
+    assert len(steps) > 1
+    for k, (i, z) in enumerate(steps):
+        other = next(c for c in letters3.non_identity() if c != z)
+        assert not certifies((u, steps[:k] + steps[k + 1:]), up)
+        for broken in ((i - 1, z), (i + 1, z), (i, other)):
+            assert not certifies((u, steps[:k] + [broken] + steps[k + 1:]), up)
+    for wrong in (start[1:], start[:-1], start + start[:1], start[::-1]):
+        assert not certifies(down, up, start=wrong)
+    for wrong in (v, u + v, u[1:]):
+        assert not certifies((wrong, steps), up)
+    assert not certifies(down, (u, up[1]))
 
 
 # ------------------------------------------------------------------ text form
