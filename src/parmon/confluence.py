@@ -43,8 +43,7 @@ lstd of its two sides agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .monoid import PartialMonoid, chain_law_holds
 from .rewriting import _lstd
@@ -76,8 +75,7 @@ def essential_critical_pairs(
                 yield x, y, z, a, b, "A0"
 
 
-@dataclass(frozen=True)
-class ConfluenceVerdict:
+class ConfluenceVerdict(NamedTuple):
     """The A0 forks of ``monoid`` as mask rows, in (x, y) order: one
     (x, y, a, mask) per defined pair (x, y) with a = x*y that has any,
     bit z of mask set for each A0 fork (x, y, z)."""

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -231,8 +230,7 @@ def serialize_monoid(m: PartialMonoid) -> str:
 
 # ------------------------------------------------------------------ validation
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[tuple, ...]  # as chain_violations yields them
 
     @property

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .confluence import is_confluent, set_bits
@@ -49,8 +48,7 @@ class AssocCounterexample(NamedTuple):
     right: Word  # u * (v * w)
 
 
-@dataclass
-class AssocReport:
+class AssocReport(NamedTuple):
     counterexamples: tuple[AssocCounterexample, ...]
 
     @property

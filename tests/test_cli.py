@@ -916,11 +916,16 @@ def _entry_point_command():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts["parmon"] == "parmon.cli:main"
+    return [sys.executable, "-m", "parmon"], _source_env()
+
+
+def _source_env():
+    """This environment with the package this test imported on PYTHONPATH."""
     src = str(Path(parmon.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return [sys.executable, "-m", "parmon"], env
+    return env
 
 
 def test_installed_entry_point():
@@ -932,6 +937,19 @@ def test_installed_entry_point():
     proc = subprocess.run(cmd + ["confluence", LETTERS3],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == cli.EXIT_NEGATIVE
+
+
+def test_import_loads_no_heavy_modules():
+    # every parmon process pays for what importing parmon loads, and
+    # dataclasses brings in inspect, ast, dis and tokenize with it.  -S
+    # keeps site hooks from loading these modules or hiding them.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = ("import sys, parmon, parmon.cli; "
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=_source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 def test_closed_pipe_ends_quietly(tmp_path):

@@ -143,6 +143,11 @@ def test_verdict_fields(ex2, letters3):
     assert len(v3.a0_witnesses) == 48
     assert all(len(t) == 5 for t in v3.a0_witnesses)
     assert v3.confluent == (not v3.a0_witnesses)
+    # a named tuple: fixed fields in order, immutable
+    assert P.ConfluenceVerdict._fields == ("monoid", "a0_rows")
+    with pytest.raises(AttributeError):
+        v3.a0_rows = ()
+    assert repr(v).startswith("ConfluenceVerdict(monoid=")
 
 
 def test_a0_witnesses_are_the_a0_essential_pairs(ex2, letters3, du2,

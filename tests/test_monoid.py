@@ -300,7 +300,13 @@ def test_light_test_runs_once_per_table(monkeypatch):
 
 def test_validation_report_valid_property():
     assert P.ValidationReport(()).valid
-    assert not P.ValidationReport(((0, 0, 0, 0, None),)).valid
+    report = P.ValidationReport(((0, 0, 0, 0, None),))
+    assert not report.valid
+    # a named tuple: fixed fields in order, immutable
+    assert P.ValidationReport._fields == ("violations",)
+    with pytest.raises(AttributeError):
+        report.violations = ()
+    assert repr(report).startswith("ValidationReport(violations=")
 
 
 # ------------------------------------------------------------------ totalization

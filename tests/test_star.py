@@ -61,6 +61,11 @@ def test_ex2_associative_up_to_3(ex2):
     assert report.associative
     assert report.counterexamples == ()
     assert report.counterexample is None
+    # a named tuple: fixed fields in order, immutable
+    assert P.AssocReport._fields == ("counterexamples",)
+    with pytest.raises(AttributeError):
+        report.counterexamples = ()
+    assert repr(report).startswith("AssocReport(counterexamples=")
 
 
 def test_letters3_first_counterexample(letters3):
