@@ -32,7 +32,7 @@ EXIT_NEGATIVE = 3
 
 def _load(path: str) -> PartialMonoid:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}")
     try:

@@ -147,12 +147,9 @@ def rotation_closure(t: Tree) -> set[Tree]:
 
 
 def right_comb(t: Tree) -> Tree:
-    """The unique rotation normal form: same leaves, fully right-nested."""
-    labels = leaf_labels(t)
-    comb: Tree = Leaf(labels[-1])
-    for label in reversed(labels[:-1]):
-        comb = Node(Leaf(label), comb)
-    return comb
+    """The unique rotation normal form: t's own Leaf objects, fully right-nested."""
+    shape, found = _shape(t)
+    return _tree((1,) * len(shape), found)
 
 
 def evaluate(m: PartialMonoid, t: Tree) -> Word:
@@ -228,14 +225,13 @@ def _evaluations(m: PartialMonoid, shape: Shape, labels: list[Word]) -> dict[Wor
     k is allowed when j >= reach[k].  Cell (i, j) exists exactly when
     i..j has an allowed bracketing, and then a split before leaf e + 1
     is allowed exactly when cell (i, e) exists, so the splits tried are
-    the e that ends[i] lists.  Star at a node is _lstd of the concatenation, so
-    memo maps each concatenated word to its _lstd.
+    the e that ends[i] lists.
 
     Each pair of a left and a right value at a split is one star
     evaluation.  Before a split's pairs are tried they are counted, and
     more than MAX_EVALUATIONS across the chart raise ValueError.  Every
     cell has a split and every split a pair, so the count bounds the
-    chart's time and the entries of memo and of every cell.
+    chart's time and every cell's entries.
     """
     n = len(labels)
     reach = [0] * n
@@ -248,7 +244,6 @@ def _evaluations(m: PartialMonoid, shape: Shape, labels: list[Word]) -> dict[Wor
             todo += (i + k, count - k), (i, k)
     cells: dict[tuple[int, int], dict[Word, Shape]] = {}
     ends: list[list[int]] = [[] for _ in range(n)]
-    memo: dict[Word, Word] = {}
     tried = 0
     for j in range(n):
         cells[j, j] = {labels[j]: ()}
@@ -266,10 +261,7 @@ def _evaluations(m: PartialMonoid, shape: Shape, labels: list[Word]) -> dict[Wor
                         "in the rotation closure; use fewer leaves")
                 for u, left_shape in left.items():
                     for v, right_shape in right.items():
-                        w = u + v
-                        value = memo.get(w)
-                        if value is None:
-                            value = memo[w] = _lstd(m, w)
+                        value = _lstd(m, u + v)
                         if value not in cell:
                             cell[value] = (e + 1 - i,) + left_shape + right_shape
             cells[i, j] = cell

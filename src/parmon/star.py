@@ -3,7 +3,8 @@
 Concatenate, then take the left standard normal form.  Each bracketing
 of u, v, w is a reduct of u + v + w, so associativity always holds
 modulo convertibility; assoc_modulo_congruence checks that on the
-counterexamples alone, since every other triple has equal bracketings.
+counterexamples alone, since every other triple has equal bracketings,
+as rotation invariance of ((u v) w), whose closure is its two bracketings.
 
 Bracketing law, on any table: if v + w is irreducible (v or w is empty,
 or their boundary letters do not compose), both bracketings of u, v, w
@@ -25,7 +26,7 @@ from collections import Counter
 from typing import Iterator, NamedTuple, Optional
 
 from .confluence import is_confluent, set_bits
-from .magma import _chain, _convertible
+from .magma import Leaf, Node, verify_rotation_invariance
 from .monoid import PartialMonoid, chain_law_holds
 from .rewriting import _lstd
 from .words import Word, enumerate_irreducible, is_irreducible
@@ -150,12 +151,11 @@ def assoc_modulo_congruence(m: PartialMonoid, max_len: int
 
     The keys are the triples of _counterexamples(m, max_len,
     find_all=True), in its order; every other irreducible triple has
-    equal bracketings and needs no check.  Each value certifies a
-    conversion through u + v + w by replaying parmon.magma's step
-    chains over the labels [u, v, w]: shape (2, 1) is ((u v) w) and
-    (1, 1) is (u (v w)).  The steps are plain reductions on every table,
-    so the certificate holds on invalid tables too.
+    equal bracketings and needs no check.  Each value is
+    verify_rotation_invariance of ((u v) w): its rotation closure is
+    ((u v) w) and (u (v w)), so the two bracketings are certified to
+    convert through u + v + w.  The certificate's steps are plain
+    reductions on every table, so it holds on invalid tables too.
     """
-    return {(u, v, w): _convertible(m, u + v + w, [_chain(m, (2, 1), [u, v, w]),
-                                                   _chain(m, (1, 1), [u, v, w])])
+    return {(u, v, w): verify_rotation_invariance(m, Node(Node(Leaf(u), Leaf(v)), Leaf(w)))
             for u, v, w, _, _ in _counterexamples(m, max_len, find_all=True)}

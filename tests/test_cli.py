@@ -97,6 +97,13 @@ def test_undecodable_file_names_the_path(capsys, tmp_path):
     assert err.startswith(f"error: cannot read {f}: ")
 
 
+def test_byte_order_mark_is_ignored(capsys, tmp_path):
+    f = tmp_path / "bom.monoid"
+    f.write_bytes(b"\xef\xbb\xbf" + Path(EX2).read_bytes())
+    for argv in (["validate"], ["confluence", "--json"]):
+        assert run(capsys, *argv, str(f)) == run(capsys, *argv, EX2)
+
+
 # ------------------------------------------------------------------ confluence
 
 def test_confluence_ex2(capsys):

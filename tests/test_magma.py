@@ -163,8 +163,10 @@ def test_shapes_match_the_tree_oracles():
 
 def test_decoded_trees_reuse_the_leaves(pentagon):
     _, found = P.magma._shape(pentagon)
-    for s in P.rotation_closure(pentagon) | P.rotations(pentagon):
+    for s in [*P.rotation_closure(pentagon), *P.rotations(pentagon), P.right_comb(pentagon)]:
         assert all(a is b for a, b in zip(P.magma._shape(s)[1], found))
+    one = P.Leaf(found[0].label)
+    assert P.right_comb(one) is one
 
 
 # ------------------------------------------------------------------ evaluation
@@ -285,6 +287,17 @@ def test_chart_evaluation_cap(letters3, monkeypatch):
         P.verify_rotation_invariance(letters3, t)
     monkeypatch.setattr(P.magma, "MAX_EVALUATIONS", 318)
     assert P.verify_rotation_invariance(letters3, t)
+    # each evaluation the cap counts is one _lstd call
+    calls = []
+    lstd = P.magma._lstd
+
+    def counted(m, *args):
+        calls.append(args)
+        return lstd(m, *args)
+
+    monkeypatch.setattr(P.magma, "_lstd", counted)
+    P.magma._evaluations(letters3, *P.magma._checked_shape(letters3, t))
+    assert len(calls) == 318
 
 
 def left_comb(m, names):

@@ -256,11 +256,21 @@ def test_assoc_modulo_congruence_ex2(ex2):
     assert P.assoc_modulo_congruence(ex2, 2) == {}
 
 
-def test_assoc_modulo_congruence_letters3(letters3):
-    # bracketings differ as words but always convert through u v w
+def test_assoc_modulo_congruence_letters3(letters3, monkeypatch):
+    # bracketings differ as words but always convert through u v w; each
+    # key (u, v, w) is checked once, as rotation invariance of ((u v) w)
+    star_module = importlib.import_module("parmon.star")
+    verify, trees = star_module.verify_rotation_invariance, []
+
+    def recorded(m, t):
+        trees.append(t)
+        return verify(m, t)
+
+    monkeypatch.setattr(star_module, "verify_rotation_invariance", recorded)
     results = P.assoc_modulo_congruence(letters3, 1)
     assert len(results) == 48
     assert all(results.values())
+    assert trees == [P.Node(P.Node(P.Leaf(u), P.Leaf(v)), P.Leaf(w)) for u, v, w in results]
 
 
 def test_assoc_modulo_congruence_letters3_length2(letters3):
