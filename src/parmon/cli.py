@@ -69,6 +69,10 @@ def _names(m: PartialMonoid, w: Word) -> list[str]:
 
 # ------------------------------------------------------------------ commands
 
+# PartialMonoid admits only element names that match [A-Za-z0-9_]+, so a
+# name, or a message made of names, spaces, parentheses and "=", needs no
+# escaping: the JSON writers quote it inline in json.dumps's layout.
+
 def cmd_validate(args) -> int:
     """One line, or one JSON array element, per violation as the scan yields it."""
     m = _load(args.file)
@@ -79,7 +83,6 @@ def cmd_validate(args) -> int:
             (() if valid else itertools.chain((first,), violations)))
     write = sys.stdout.write
     if args.json:
-        # names match [A-Za-z0-9_]+, so json.dumps quotes as written here
         write(f'{{"valid": {json.dumps(valid)}, "violations": [')
         sep = ""
         for x, y, z, code, message in rows:
@@ -102,17 +105,17 @@ def cmd_confluence(args) -> int:
     agree = None
     if args.oracle:
         agree = newman_check(m) == verdict.confluent
-    rows = m.rows
+    names, rows = m.elements, m.rows
     write = sys.stdout.write
     if args.json:
-        # each name is quoted once; the layout is json.dumps's for the
-        # dict {"x", "y", "z", "a", "b", "pair": [[a, z], [x, b]]}
-        q = [json.dumps(n) for n in m.elements]
+        # the layout is json.dumps's for the dict
+        # {"x", "y", "z", "a", "b", "pair": [[a, z], [x, b]]}
         write(f'{{"confluent": {json.dumps(verdict.confluent)}, '
               '"method": "essential", "a0_witnesses": [')
         write(", ".join([
-            f'{{"x": {q[x]}, "y": {q[y]}, "z": {q[z]}, "a": {q[a]}, '
-            f'"b": {q[b]}, "pair": [[{q[a]}, {q[z]}], [{q[x]}, {q[b]}]]}}'
+            f'{{"x": "{names[x]}", "y": "{names[y]}", "z": "{names[z]}", '
+            f'"a": "{names[a]}", "b": "{names[b]}", '
+            f'"pair": [["{names[a]}", "{names[z]}"], ["{names[x]}", "{names[b]}"]]}}'
             for x, y, a, mask in verdict.a0_rows
             for z in set_bits(mask) for b in (rows[y][z],)]))
         if agree is None:
@@ -121,7 +124,6 @@ def cmd_confluence(args) -> int:
             write(f'], "oracle_agrees": {json.dumps(agree)}}}\n')
     else:
         # both pair words have two letters, so neither is eps
-        names = m.elements
         lines = ["confluent" if verdict.confluent else "not confluent"]
         lines += [f"  A0 ({names[x]}, {names[y]}, {names[z]}): "
                   f"{names[a]}·{names[z]} vs {names[x]}·{names[rows[y][z]]}"
@@ -148,19 +150,16 @@ def cmd_normalize(args) -> int:
         return EXIT_OK
     if args.trace:
         # one line per move as lstd_trace yields it: the identity letter
-        # at i erases (z is None), or the pair at i contracts to z; each
-        # JSON name is quoted once, and names match [A-Za-z0-9_]+, so the
-        # rule needs no escaping and the layout is json.dumps's; a source
-        # has a letter to rewrite, so its text form is never eps
+        # at i erases (z is None), or the pair at i contracts to z; a
+        # source has a letter to rewrite, so its text form is never eps
         names = m.elements
-        q = [json.dumps(n) for n in names]
         write = sys.stdout.write
         for source, i, z in lstd_trace(m, w):
             lhs = names[source[i]] if z is None else f"{names[source[i]]} {names[source[i + 1]]}"
             rule = f"{lhs} -> {'eps' if z in (None, m.identity) else names[z]}"
             if args.json:
-                write(f'{{"word": [{", ".join([q[c] for c in source])}], '
-                      f'"rule": "{rule}", "position": {i}}}\n')
+                letters = '", "'.join([names[c] for c in source])
+                write(f'{{"word": ["{letters}"], "rule": "{rule}", "position": {i}}}\n')
             else:
                 write(f"{'·'.join([names[c] for c in source])}  --[{rule} @ {i}]-->\n")
     result = lstd(m, w)
@@ -177,20 +176,19 @@ def cmd_normalize(args) -> int:
 def cmd_critical_pairs(args) -> int:
     """One line, or one JSON array element, per fork as the walk yields it."""
     m = _load_valid(args.file)
+    names = m.elements
     counts = {"A0": 0, "A1": 0, "B": 0}
     write = sys.stdout.write
     if args.json:
-        q = [json.dumps(n) for n in m.elements]
         write('{"triples": [')
         sep = ""
         for x, y, z, a, b, kind in essential_critical_pairs(m):
             counts[kind] += 1
-            write(f'{sep}{{"x": {q[x]}, "y": {q[y]}, "z": {q[z]}, '
-                  f'"a": {q[a]}, "b": {q[b]}, "class": "{kind}"}}')
+            write(f'{sep}{{"x": "{names[x]}", "y": "{names[y]}", "z": "{names[z]}", '
+                  f'"a": "{names[a]}", "b": "{names[b]}", "class": "{kind}"}}')
             sep = ", "
         write(f'], "counts": {json.dumps(counts)}}}\n')
     else:
-        names = m.elements
         write("x y z a b class\n")
         for x, y, z, a, b, kind in essential_critical_pairs(m):
             counts[kind] += 1
@@ -224,15 +222,15 @@ def cmd_assoc_test(args) -> int:
     confluent = is_confluent(m).confluent
     match = associative == confluent
     rows = () if associative else itertools.chain((first,), found)
+    names = m.elements
     write = sys.stdout.write
     if args.json:
-        # each name is quoted once; the layout is json.dumps's for the
-        # dict {"max_len", "associative", "confluent", "match",
+        # the layout is json.dumps's for the dict {"max_len",
+        # "associative", "confluent", "match",
         # "counterexamples": [{"u", "v", "w", "left", "right"}, ...]}
-        q = [json.dumps(n) for n in m.elements]
 
         def word(w: Word) -> str:
-            return f'[{", ".join([q[c] for c in w])}]'
+            return "[" + ", ".join(['"' + names[c] + '"' for c in w]) + "]"
         write(f'{{"max_len": {args.max_len}, "associative": {json.dumps(associative)}, '
               f'"confluent": {json.dumps(confluent)}, "match": {json.dumps(match)}, '
               '"counterexamples": [')
@@ -243,8 +241,6 @@ def cmd_assoc_test(args) -> int:
             sep = ", "
         write("]}\n")
     else:
-        names = m.elements
-
         def word(w: Word) -> str:
             return "·".join([names[c] for c in w]) if w else EMPTY_WORD_TOKEN
         write(f"associative up to length {args.max_len}: "

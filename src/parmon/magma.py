@@ -25,7 +25,8 @@ A tree's evaluation, its leaf labels multiplied with star in its
 bracketing, comes with _chain's plain reduction to it from the leaf
 concatenation, _lstd's steps at each node moved to its first letter.
 Rotation keeps that start, so a closure's evaluations convert through
-it with no search, one replayed chain per distinct evaluation.
+it with no search, each witness's chain replayed to the evaluation the
+chart reports.
 
 The rotation closure of t is the Tamari interval above t (Huang and
 Tamari, 1972, on bracket vectors).  Every leaf l >= 1 starts the right
@@ -199,7 +200,7 @@ def _convertible(m: PartialMonoid, start: Word,
     """Certify that the chains' evaluations all convert through start.
 
     Each chain's steps are replayed once from start: every one must be
-    a plain step, and the last word must be the chain's evaluation.
+    a plain step, and the last word must be the evaluation it comes with.
     """
     for value, steps in chains:
         w = start
@@ -275,13 +276,14 @@ def verify_rotation_invariance(m: PartialMonoid, t: Tree) -> bool:
     Rotations keep the leaf sequence, so the labels are checked once.
     _evaluations gives each distinct evaluation of the closure, t's own
     among them, with one witness shape.  When there is more than one,
-    one chain per witness is certified through the leaf concatenation
-    by one _convertible call, not searched.
+    each witness's chain is certified through the leaf concatenation by
+    one _convertible call, not searched, and must end at the evaluation
+    the chart reports, so a wrong chart value fails the certificate.
     """
     shape, labels = _checked_shape(m, t)
     witness = _evaluations(m, shape, labels)
     return len(witness) == 1 or _convertible(
-        m, sum(labels, ()), [_chain(m, s, labels) for s in witness.values()])
+        m, sum(labels, ()), [(v, _chain(m, s, labels)[1]) for v, s in witness.items()])
 
 
 # ------------------------------------------------------------------ text form

@@ -2,8 +2,8 @@
 
 perfbench/ changes only together with the benchmark itself, so a library
 change that drops or renames a name or attribute it uses shows here,
-on two small fixtures, rather than as a failed benchmark run;
-tests/test_scripts.py runs one tiny pass of each workload.
+on two small fixtures, rather than as a failed benchmark run, and
+one tiny pass of each workload checks its known answers.
 """
 
 import ast
@@ -14,7 +14,8 @@ from pathlib import Path
 import parmon as P
 from conftest import wrd
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def test_benchmark_imports_resolve(ex2, letters3):
@@ -52,3 +53,19 @@ def test_benchmark_imports_resolve(ex2, letters3):
     du2 = P.gen_disjoint_union_monoid(2, cap=2)
     assert (du2.size, P.validate(du2).valid) == (4, True)
     assert len(P.is_confluent(du2).a0_witnesses) == 2
+
+
+def test_benchmark_tiny_pass_is_correct(tmp_path, monkeypatch):
+    # one in-process pass of each workload against its known answers, so
+    # a change the import check cannot see, like a field becoming a
+    # property, still shows
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import NullTracer
+    from workloads import SCALES, WORKLOADS
+    for name, workload in WORKLOADS.items():
+        tr = NullTracer()
+        workdir = tmp_path / name
+        workdir.mkdir()
+        result = workload(3, SCALES["tiny"], tr, workdir).run(tr)
+        assert result["attempted"] >= 1, name
+        assert result["failed"] == 0, name

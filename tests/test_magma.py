@@ -482,6 +482,23 @@ def test_certificates_refuse_broken_chains(letters3, pentagon):
     assert not certifies(down, (u, up[1]))
 
 
+def test_certificates_check_the_chart_evaluations(letters3, monkeypatch):
+    # a chart that reports a wrong evaluation fails the certificate: each
+    # witness's chain must end at the evaluation the chart gives for it
+    t = P.parse_tree(letters3, "((a b) a)")
+    ab_a, wrong = wrd(letters3, "ab a"), wrd(letters3, "abc")
+    evaluations = P.magma._evaluations
+
+    def wrong_chart(m, shape, labels):
+        found = evaluations(m, shape, labels)
+        assert sorted(found) == sorted([ab_a, wrd(m, "a ba")])
+        return {wrong if v == ab_a else v: s for v, s in found.items()}
+
+    assert P.verify_rotation_invariance(letters3, t)
+    monkeypatch.setattr(P.magma, "_evaluations", wrong_chart)
+    assert not P.verify_rotation_invariance(letters3, t)
+
+
 # ------------------------------------------------------------------ text form
 
 def test_format_tree(ex2, letters3, pentagon):

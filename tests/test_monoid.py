@@ -139,6 +139,16 @@ def test_serialize_omits_forced_rows(ex2):
     ]
 
 
+def test_fixture_files_are_canonical(ex2, letters3):
+    # each file is one comment line, then exactly its table's canonical text
+    tables = {"ex2.monoid": ex2, "letters3.monoid": letters3}
+    assert sorted(p.name for p in FIXTURES.iterdir()) == sorted(tables)
+    for name, m in tables.items():
+        comment, text = (FIXTURES / name).read_text(encoding="utf-8").split("\n", 1)
+        assert comment.startswith("# ")
+        assert text == P.serialize_monoid(m)
+
+
 # ------------------------------------------------------------------ validation
 
 def test_fixtures_validate(ex2, letters3, group2, trivial, du2):
