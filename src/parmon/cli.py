@@ -17,10 +17,10 @@ from pathlib import Path
 
 from . import magma
 from .confluence import (essential_critical_pairs, is_catenary, is_confluent,
-                         newman_check, set_bits)
+                         newman_check, normal_forms, set_bits)
 from .monoid import (EMPTY_WORD_TOKEN, PartialMonoid, ParseError, chain_law_holds,
                      chain_violations, parse_monoid, random_monoid)
-from .rewriting import lstd, lstd_trace, normal_forms
+from .rewriting import lstd, lstd_trace
 from .star import _counterexamples, _triple_search, star
 from .words import Word, format_word, parse_word
 
@@ -270,11 +270,9 @@ def cmd_magma_demo(args) -> int:
     m = _load_valid(args.file)
     t = magma.parse_tree(m, " ".join(args.tree))
     comb = magma.right_comb(t)
-    shape, labels = magma._checked_shape(m, t)
-    down = magma._chain(m, shape, labels)
-    up = down if t == comb else magma._chain(m, (1,) * len(shape), labels)
+    down, up = (magma._chain(m, *magma._checked_shape(m, s)) for s in (t, comb))
     evaluation, comb_eval = down[0], up[0]
-    convertible = magma._convertible(m, sum(labels, ()), [down, up])
+    convertible = magma._convertible(m, sum(magma.leaf_labels(t), ()), [down, up])
     successors = sorted(magma.format_tree(m, s) for s in magma.rotations(t))
     if args.json:
         print(json.dumps({

@@ -39,6 +39,13 @@ pair is.  Both sides of an overlap pair are two-letter words,
 and a word of at most two letters has exactly one normal form on every
 table, valid or not: its lstd.  So a pair converges exactly when the
 lstd of its two sides agree.
+
+On a valid table (the chain law holds) the system is confluent exactly
+when no fork is A0, and a terminating confluent system gives each word
+exactly one normal form; lstd(w) is one, so it is the one.  normal_forms
+answers such tables from that law.  On every other table, including an
+invalid one with no A0 fork, where a B fork need not rejoin, normal form
+sets come from rewriting's sweep down the length layers.
 """
 
 from __future__ import annotations
@@ -46,7 +53,8 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional
 
 from .monoid import PartialMonoid, chain_law_holds
-from .rewriting import _lstd
+from .rewriting import _lstd, _sweep
+from .words import Word, check_word
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -96,12 +104,17 @@ class ConfluenceVerdict(NamedTuple):
 
 
 def is_confluent(m: PartialMonoid) -> ConfluenceVerdict:
+    """m's A0 mask rows as a verdict, which refers to m and is not kept,
+    so m holds no cycle."""
+    return ConfluenceVerdict(m, _a0_rows(m))
+
+
+def _a0_rows(m: PartialMonoid) -> tuple[tuple[int, int, int, int], ...]:
     """One A0 mask per defined pair, with no walk over its bits.
 
     ``fixed[y]``, the mask of the z with y*z = z, is computed once, and
     only for a y with some A fork at a pair (x, y) with x*y = x.  The
-    rows are computed once per table and kept in ``m._a0_rows``; the
-    verdict, which refers to m, is not kept, so m holds no cycle.
+    rows are computed once per table and kept in ``m._a0_rows``.
     """
     if m._a0_rows is None:
         rows, right = m.rows, m.right
@@ -118,7 +131,20 @@ def is_confluent(m: PartialMonoid) -> ConfluenceVerdict:
                 if mask:
                     a0.append((x, y, a, mask))
         m._a0_rows = tuple(a0)
-    return ConfluenceVerdict(m, m._a0_rows)
+    return m._a0_rows
+
+
+def normal_forms(m: PartialMonoid, w: Word) -> frozenset[Word]:
+    """Every irreducible word reachable from w.
+
+    When m is valid and has no A0 fork this is {lstd(w)}, the unique
+    normal form.  Otherwise the reachable words are swept, and more than
+    rewriting.MAX_REACHABLE_WORDS of them raise ValueError.
+    """
+    check_word(m, w)
+    if chain_law_holds(m) and not _a0_rows(m):
+        return frozenset({_lstd(m, w)})
+    return _sweep(m, w)
 
 
 def is_catenary(m: PartialMonoid) -> tuple[bool, Optional[tuple[int, int, int]]]:

@@ -5,13 +5,6 @@ to the product letter, and an identity letter erases.  Every step
 shortens the word by one, so reduction terminates and the reachable-word
 graph is a finite DAG, layered by word length.
 
-On a valid table (the chain law holds) the system is confluent exactly
-when no fork is A0, and a terminating confluent system gives each word
-exactly one normal form; lstd(w) is one, so it is the one.  normal_forms
-answers such tables from that law.  On every other table, including an
-invalid one with no A0 fork, where a B fork need not rejoin, normal form
-sets come from one sweep down the length layers.
-
 The left standard strategy is the deterministic schedule: erase identity
 letters first (leftmost first), then repeatedly contract the leftmost
 defined adjacent pair.  When that pair multiplies to the identity the
@@ -27,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .monoid import PartialMonoid, chain_law_holds
+from .monoid import PartialMonoid
 from .words import Word, check_word
 
 
@@ -44,29 +37,6 @@ def _steps(m: PartialMonoid, w: Word) -> Iterator[tuple[int, Word]]:
 
 
 MAX_REACHABLE_WORDS = 1_000_000  # most words the normal form sweep will visit
-
-
-def normal_forms(m: PartialMonoid, w: Word) -> frozenset[Word]:
-    """Every irreducible word reachable from w.
-
-    When m is valid and has no A0 fork this is {lstd(w)}, the unique
-    normal form.  Otherwise the reachable words are swept, and more than
-    MAX_REACHABLE_WORDS of them raise ValueError.
-    """
-    check_word(m, w)
-    if _has_unique_forms(m):
-        return frozenset({_lstd(m, w)})
-    return _sweep(m, w)
-
-
-def _has_unique_forms(m: PartialMonoid) -> bool:
-    """Is m valid with no A0 fork?  Both facts are kept on the table."""
-    if not chain_law_holds(m):
-        return False
-    if m._a0_rows is None:
-        from .confluence import is_confluent  # confluence imports this module
-        is_confluent(m)
-    return not m._a0_rows
 
 
 def _sweep(m: PartialMonoid, w: Word) -> frozenset[Word]:

@@ -120,12 +120,10 @@ def _triple_search(m: PartialMonoid, max_len: int) -> Iterator[AssocCounterexamp
     """
     rows = m.rows
     words = enumerate_irreducible(m, max_len)[1:]
-    count = len(words) ** 2  # bounds the composing pairs; counted when a cap may bind
-    if count > MAX_COMPOSING_PAIRS or len(words) * count > MAX_TRIPLES:
-        last, first = Counter(v[-1] for v in words), Counter(w[0] for w in words)
-        count = sum(last[x] * first[y] for x, y, _ in m.products)
-        if count > MAX_COMPOSING_PAIRS:
-            raise ValueError(f"more than {MAX_COMPOSING_PAIRS} composing pairs; lower max_len")
+    last, first = Counter(v[-1] for v in words), Counter(w[0] for w in words)
+    count = sum(last[x] * first[y] for x, y, _ in m.products)
+    if count > MAX_COMPOSING_PAIRS:
+        raise ValueError(f"more than {MAX_COMPOSING_PAIRS} composing pairs; lower max_len")
     passes = MAX_TRIPLES // count if count else len(words)
     pairs: list[tuple[Word, Word, Word]] = []
 

@@ -1,6 +1,8 @@
 """End-to-end command line behavior: text, json, exit codes."""
 
+import ast
 import contextlib
+import graphlib
 import importlib
 import io
 import json
@@ -957,6 +959,21 @@ def test_import_loads_no_heavy_modules():
                           capture_output=True, text=True, env=_source_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
+
+
+def test_package_imports_form_a_module_level_dag():
+    # each module's relative imports run when it loads, never inside a
+    # function, and no chain of them leads back to where it started
+    graph = {}
+    for path in sorted((ROOT / "src" / "parmon").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        deps = graph[path.stem] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                assert node in tree.body, f"{path.name}:{node.lineno} imports below module level"
+                deps.update([node.module] if node.module else (a.name for a in node.names))
+    assert set().union(*graph.values()) <= set(graph)
+    list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
 
 
 def test_closed_pipe_ends_quietly(tmp_path):

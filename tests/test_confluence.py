@@ -379,8 +379,8 @@ def test_newman_never_reads_the_unique_forms_verdict(ex2, letters3, group2, cyc8
     def no_sweep(m, w):
         raise AssertionError("newman_check swept normal forms")
 
-    monkeypatch.setattr("parmon.rewriting._has_unique_forms", refuse)
-    monkeypatch.setattr("parmon.rewriting._sweep", no_sweep)
+    monkeypatch.setattr("parmon.confluence._a0_rows", refuse)
+    monkeypatch.setattr("parmon.confluence._sweep", no_sweep)
     assert [P.newman_check(m) for m in tables] == expected
 
 

@@ -153,7 +153,7 @@ def _swept_words(monkeypatch):
         swept.append(w)
         return _sweep(m, w)
 
-    monkeypatch.setattr(P.rewriting, "_sweep", spy)
+    monkeypatch.setattr(P.confluence, "_sweep", spy)
     return swept
 
 
@@ -164,7 +164,7 @@ def test_unique_forms_match_brute_on_confluent_fixtures(ex2, group2, cyc8, monke
               P.gen_no_common_letters_monoid("a"), cyc8):
         _normal_forms_match_brute(m, 5)
         assert swept == []
-        assert P.rewriting._has_unique_forms(m) and m._a0_rows == ()
+        assert P.monoid.chain_law_holds(m) and P.confluence._a0_rows(m) == ()
 
 
 def test_normal_forms_match_brute_on_random_tables(monkeypatch):
@@ -179,7 +179,7 @@ def test_normal_forms_match_brute_on_random_tables(monkeypatch):
             swept.clear()
             checked = _normal_forms_match_brute(t, 5)
             assert len(swept) in (0, checked)
-            assert (swept == []) == P.rewriting._has_unique_forms(t)
+            assert (swept == []) == (P.monoid.chain_law_holds(t) and not P.confluence._a0_rows(t))
             taken.add(swept == [])
     assert taken == {True, False}
 
@@ -195,7 +195,7 @@ def test_invalid_tables_are_swept(sample_tables, monkeypatch):
         swept.clear()
         checked = _normal_forms_match_brute(m, 5 if m.size <= 7 else 4)
         assert len(swept) == checked > 0
-        assert P.rewriting._has_unique_forms(m) is False
+        assert (P.monoid.chain_law_holds(m) and not P.confluence._a0_rows(m)) is False
 
 
 def test_normal_forms_word_cap(letters3, monkeypatch):
