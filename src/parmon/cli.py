@@ -73,9 +73,8 @@ def _names(m: PartialMonoid, w: Word) -> list[str]:
 # name, or a message made of names, spaces, parentheses and "=", needs no
 # escaping: the JSON writers quote it inline in json.dumps's layout.
 
-def cmd_validate(args) -> int:
+def cmd_validate(m, args) -> int:
     """One line, or one JSON array element, per violation as the scan yields it."""
-    m = _load(args.file)
     violations = chain_violations(m)
     first = next(violations, None)
     valid = first is None
@@ -97,10 +96,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK if valid else EXIT_INVALID
 
 
-def cmd_confluence(args) -> int:
+def cmd_confluence(m, args) -> int:
     """Every A0 witness as one formatted string, read off the verdict's
     mask rows in (x, y, z) order and written in one piece."""
-    m = _load_valid(args.file)
     verdict = is_confluent(m)
     agree = None
     if args.oracle:
@@ -136,8 +134,7 @@ def cmd_confluence(args) -> int:
     return EXIT_OK if verdict.confluent else EXIT_NEGATIVE
 
 
-def cmd_normalize(args) -> int:
-    m = _load_valid(args.file)
+def cmd_normalize(m, args) -> int:
     w = parse_word(m, " ".join(args.word))
     if args.all:
         forms = sorted(normal_forms(m, w), key=lambda f: (len(f), f))
@@ -173,9 +170,8 @@ def cmd_normalize(args) -> int:
     return EXIT_OK
 
 
-def cmd_critical_pairs(args) -> int:
+def cmd_critical_pairs(m, args) -> int:
     """One line, or one JSON array element, per fork as the walk yields it."""
-    m = _load_valid(args.file)
     names = m.elements
     counts = {"A0": 0, "A1": 0, "B": 0}
     write = sys.stdout.write
@@ -199,8 +195,7 @@ def cmd_critical_pairs(args) -> int:
     return EXIT_OK
 
 
-def cmd_star(args) -> int:
-    m = _load_valid(args.file)
+def cmd_star(m, args) -> int:
     u = parse_word(m, args.u)
     v = parse_word(m, args.v)
     product = star(m, u, v)
@@ -212,10 +207,9 @@ def cmd_star(args) -> int:
     return EXIT_OK
 
 
-def cmd_assoc_test(args) -> int:
+def cmd_assoc_test(m, args) -> int:
     """One line, or one JSON array element, per counterexample as the
     search yields it, from names read once per table."""
-    m = _load_valid(args.file)
     found = _counterexamples(m, args.max_len, args.all)
     first = next(found, None)
     associative = first is None
@@ -252,8 +246,7 @@ def cmd_assoc_test(args) -> int:
     return EXIT_OK if associative else EXIT_NEGATIVE
 
 
-def cmd_simulate(args) -> int:
-    m = _load_valid(args.file)
+def cmd_simulate(m, args) -> int:
     w = parse_word(m, " ".join(args.word))
     result = lstd(m, w)
     segments = _names(m, result)
@@ -266,8 +259,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_magma_demo(args) -> int:
-    m = _load_valid(args.file)
+def cmd_magma_demo(m, args) -> int:
     t = magma.parse_tree(m, " ".join(args.tree))
     comb = magma.right_comb(t)
     down, up = (magma._chain(m, *magma._checked_shape(m, s)) for s in (t, comb))
@@ -297,7 +289,7 @@ def cmd_magma_demo(args) -> int:
     return EXIT_OK
 
 
-def cmd_random_check(args) -> int:
+def cmd_random_check(_, args) -> int:
     rng = random.Random(args.seed)
     failures = []
     catenary_seen = 0
@@ -356,54 +348,49 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite partial monoids: rewriting, confluence, normal forms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, load=_load_valid):
+        """A subcommand reading the table load returns, or none if load is None."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true",
                        help="machine readable output")
-        p.set_defaults(func=func)
+        if load is not None:
+            p.add_argument("file")
+        p.set_defaults(func=func, load=load)
         return p
 
-    p = add("validate", cmd_validate, "check the chain law on a monoid file")
-    p.add_argument("file")
+    add("validate", cmd_validate, "check the chain law on a monoid file", _load)
 
     p = add("confluence", cmd_confluence, "decide confluence")
-    p.add_argument("file")
     p.add_argument("--oracle", action="store_true",
                    help="cross check with the critical pair oracle")
 
     p = add("normalize", cmd_normalize, "reduce a word")
-    p.add_argument("file")
     p.add_argument("word", nargs="+", help="element names, or eps")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--all", action="store_true", help="list every normal form")
     mode.add_argument("--trace", action="store_true", help="show each step")
 
-    p = add("critical-pairs", cmd_critical_pairs, "table of essential forks")
-    p.add_argument("file")
+    add("critical-pairs", cmd_critical_pairs, "table of essential forks")
 
     p = add("star", cmd_star, "product of two irreducible words")
-    p.add_argument("file")
     p.add_argument("u")
     p.add_argument("v")
 
     p = add("assoc-test", cmd_assoc_test,
             "search for associativity counterexamples")
-    p.add_argument("file")
     p.add_argument("--max-len", type=_int_at_least(1), default=2)
     p.add_argument("--all", action="store_true",
                    help="collect every counterexample")
 
     p = add("simulate", cmd_simulate,
             "error view: normal form letters separated by !")
-    p.add_argument("file")
     p.add_argument("word", nargs="+")
 
     p = add("magma-demo", cmd_magma_demo, "tree rotations and evaluation")
-    p.add_argument("file")
     p.add_argument("tree", nargs="+", help="fully bracketed tree")
 
     p = add("random-check", cmd_random_check,
-            "verdict agreement on random monoids")
+            "verdict agreement on random monoids", None)
     p.add_argument("--count", type=_int_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-carrier", type=_int_at_least(1), default=8)
@@ -414,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        m = args.load(args.file) if args.load else None
+        code = args.func(m, args)
         sys.stdout.flush()
         return code
     except ValueError as exc:

@@ -226,7 +226,7 @@ def _evaluations(m: PartialMonoid, shape: Shape, labels: list[Word]) -> dict[Wor
     k is allowed when j >= reach[k].  Cell (i, j) exists exactly when
     i..j has an allowed bracketing, and then a split before leaf e + 1
     is allowed exactly when cell (i, e) exists, so the splits tried are
-    the e that ends[i] lists.
+    the keys e of cells[i], the row of cells starting at leaf i.
 
     Each pair of a left and a right value at a split is one star
     evaluation.  Before a split's pairs are tried they are counted, and
@@ -243,18 +243,16 @@ def _evaluations(m: PartialMonoid, shape: Shape, labels: list[Word]) -> dict[Wor
             k = next(entries)
             reach[i + k] = i + count - 1
             todo += (i + k, count - k), (i, k)
-    cells: dict[tuple[int, int], dict[Word, Shape]] = {}
-    ends: list[list[int]] = [[] for _ in range(n)]
+    cells: list[dict[int, dict[Word, Shape]]] = [{} for _ in range(n)]
     tried = 0
     for j in range(n):
-        cells[j, j] = {labels[j]: ()}
-        ends[j].append(j)
+        cells[j][j] = {labels[j]: ()}
         for i in range(j - 1, -1, -1):
             if reach[i + 1] > j:
                 break
             cell: dict[Word, Shape] = {}
-            for e in ends[i]:
-                left, right = cells[i, e], cells[e + 1, j]
+            for e, left in cells[i].items():
+                right = cells[e + 1][j]
                 tried += len(left) * len(right)
                 if tried > MAX_EVALUATIONS:
                     raise ValueError(
@@ -265,9 +263,8 @@ def _evaluations(m: PartialMonoid, shape: Shape, labels: list[Word]) -> dict[Wor
                         value = _lstd(m, u + v)
                         if value not in cell:
                             cell[value] = (e + 1 - i,) + left_shape + right_shape
-            cells[i, j] = cell
-            ends[i].append(j)
-    return cells[0, n - 1]
+            cells[i][j] = cell
+    return cells[0][n - 1]
 
 
 def verify_rotation_invariance(m: PartialMonoid, t: Tree) -> bool:

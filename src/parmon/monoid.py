@@ -55,11 +55,11 @@ class PartialMonoid:
     partners: bit z is set exactly where y*z is defined.  ``products`` is
     the canonical sorted tuple of (x, y, x*y) triples read off ``rows``,
     identity rows included.
-    Construction checks structural invariants only; the chain law is the
-    job of :func:`validate`.  ``_valid`` keeps whether the chain law
-    holds, as :func:`chain_violations` decides it, and ``_a0_rows`` the
-    A0 mask rows of :func:`parmon.confluence.is_confluent`; each is None
-    until first asked, and equality and hashing ignore both.
+    Construction checks structural invariants only; :func:`chain_violations`
+    and :func:`chain_law_holds` decide the chain law, and ``_valid`` keeps
+    their answer.  ``_a0_rows`` keeps the A0 mask rows of
+    :func:`parmon.confluence.is_confluent`; each is None until first
+    asked, and equality and hashing ignore both.
     """
 
     __slots__ = ("elements", "identity", "products", "rows", "right", "_index",

@@ -130,12 +130,10 @@ def lstd_trace(m: PartialMonoid, w: Word) -> Iterator[tuple[Word, int, Optional[
 
 
 def _trace(m: PartialMonoid, w: Word) -> Iterator[tuple[Word, int, Optional[int]]]:
-    while m.identity in w:
-        i = w.index(m.identity)
-        yield w, i, None
-        w = _apply(w, i, None)
-    recorded: list[tuple[int, Optional[int]]] = []
-    _lstd(m, w, recorded)
+    # the k-th identity letter, at i in w, erases at i - k
+    ones = [i for i, c in enumerate(w) if c == m.identity]
+    recorded = [(i - k, None) for k, i in enumerate(ones)]
+    _lstd(m, tuple(c for c in w if c != m.identity), recorded)
     moves = iter(recorded)
     for i, z in moves:
         yield w, i, z

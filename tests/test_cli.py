@@ -154,13 +154,18 @@ def _fully_violating(n):
     return "\n".join(lines) + "\n"
 
 
-def test_confluence_rejects_invalid(capsys, tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["confluence"], ["normalize", "eps"], ["critical-pairs"], ["star", "eps", "eps"],
+    ["assoc-test"], ["simulate", "eps"], ["magma-demo", "eps"],
+], ids=lambda argv: argv[0])
+def test_commands_reject_invalid(capsys, tmp_path, argv):
+    # every command but validate and random-check reads a valid table;
     # the second table has about 2 M violations; the error needs the first
     for name, text in (("broken", BROKEN), ("violating", _fully_violating(128))):
         f = tmp_path / f"{name}.monoid"
         f.write_text(text)
-        code, _, err = run(capsys, "confluence", str(f))
-        assert code == 1
+        code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert (code, out) == (1, "")
         m = parmon.parse_monoid(text)
         *_, message = cli._violation_text(m.elements, next(chain_violations(m)))
         assert err == (f"error: {f}: not a valid partial monoid; "
@@ -974,6 +979,12 @@ def test_package_imports_form_a_module_level_dag():
                 deps.update([node.module] if node.module else (a.name for a in node.names))
     assert set().union(*graph.values()) <= set(graph)
     list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
+
+
+def test_package_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10
+    for path in sorted((ROOT / "src" / "parmon").glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_closed_pipe_ends_quietly(tmp_path):
