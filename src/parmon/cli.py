@@ -153,7 +153,7 @@ def cmd_normalize(m, args) -> int:
         write = sys.stdout.write
         for source, i, z in lstd_trace(m, w):
             lhs = names[source[i]] if z is None else f"{names[source[i]]} {names[source[i + 1]]}"
-            rule = f"{lhs} -> {'eps' if z in (None, m.identity) else names[z]}"
+            rule = f"{lhs} -> {EMPTY_WORD_TOKEN if z in (None, m.identity) else names[z]}"
             if args.json:
                 letters = '", "'.join([names[c] for c in source])
                 write(f'{{"word": ["{letters}"], "rule": "{rule}", "position": {i}}}\n')
@@ -235,12 +235,11 @@ def cmd_assoc_test(m, args) -> int:
             sep = ", "
         write("]}\n")
     else:
-        def word(w: Word) -> str:
-            return "·".join([names[c] for c in w]) if w else EMPTY_WORD_TOKEN
         write(f"associative up to length {args.max_len}: "
               f"{'yes' if associative else 'no'}\n")
-        for u, v, w, left, right in rows:
-            write(f"  ({word(u)}, {word(v)}, {word(w)}): {word(left)} != {word(right)}\n")
+        for row in rows:
+            u, v, w, left, right = [format_word(m, x) for x in row]
+            write(f"  ({u}, {v}, {w}): {left} != {right}\n")
         write(f"confluent: {'yes' if confluent else 'no'}\n"
               f"verdicts match: {'yes' if match else 'no'}\n")
     return EXIT_OK if associative else EXIT_NEGATIVE
@@ -255,16 +254,17 @@ def cmd_simulate(m, args) -> int:
         print(json.dumps({"input": _names(m, w), "segments": segments,
                           "errors": errors}))
     else:
-        print(" ! ".join(segments) if segments else "eps")
+        print(" ! ".join(segments) if segments else EMPTY_WORD_TOKEN)
     return EXIT_OK
 
 
 def cmd_magma_demo(m, args) -> int:
     t = magma.parse_tree(m, " ".join(args.tree))
     comb = magma.right_comb(t)
-    down, up = (magma._chain(m, *magma._checked_shape(m, s)) for s in (t, comb))
+    shape, labels = magma._checked_shape(m, t)
+    down, up = (magma._chain(m, s, labels) for s in (shape, (1,) * len(shape)))
     evaluation, comb_eval = down[0], up[0]
-    convertible = magma._convertible(m, sum(magma.leaf_labels(t), ()), [down, up])
+    convertible = magma._convertible(m, sum(labels, ()), [down, up])
     successors = sorted(magma.format_tree(m, s) for s in magma.rotations(t))
     if args.json:
         print(json.dumps({
