@@ -502,10 +502,16 @@ TREE12 = "((b (b b)) ((((a ((b b) c)) (c b)) (c a)) c))"
 ] + [
     ("letters3", ["magma-demo", TREE12, *json], "magma-demo" + slug)
     for json, slug in (([], ""), (["--json"], "-json"))
+] + [
+    ("letters3", ["star", "ab", "a", "--json"], "star-json"),
+    ("letters3", ["simulate", "a", "b", "a", "--json"], "simulate-json"),
+    ("ex2", ["normalize", "x", "1", "y", "z", "--json"], "normalize-json"),
+    ("letters3", ["normalize", "a", "b", "a", "--all", "--json"], "normalize-all-json"),
 ])
 def test_golden_trace_and_magma_demo(capsys, fixture, argv, slug):
     # identity letters in several positions; a 12-leaf tree whose
-    # evaluation differs from its right comb's
+    # evaluation differs from its right comb's; the record commands'
+    # JSON, key order and spacing included
     path = str(FIXTURES / f"{fixture}.monoid")
     code, out, err = run(capsys, argv[0], path, *argv[1:])
     expected = (GOLDEN / f"{fixture}.{slug}.txt").read_text(encoding="utf-8")
@@ -860,6 +866,31 @@ def test_random_check_runs_the_triple_loop(capsys, monkeypatch):
     assert code == cli.EXIT_OK
     assert out.splitlines()[-1] == "all verdicts agree"
     assert calls == [2] * 300
+
+
+RANDOM_CHECK_FAILURES = [
+    (0, "PartialMonoid(5 elements, identity='1', 10 products)"),
+    (1, "PartialMonoid(5 elements, identity='1', 11 products)"),
+    (2, "PartialMonoid(5 elements, identity='1', 15 products)"),
+]
+
+
+def test_random_check_reports_failures(capsys, monkeypatch):
+    # an oracle that always disagrees fails every table, in text and JSON
+    monkeypatch.setattr(cli, "newman_check", lambda m: not parmon.is_confluent(m).confluent)
+    argv = ["random-check", "--count", "3", "--seed", "0"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (cli.EXIT_NEGATIVE, "")
+    assert out == "checked 3 random monoids (seed 0, 1 catenary)\n" + "".join(
+        f"  FAIL #{i} {m}: critical pair oracle disagrees\n"
+        for i, m in RANDOM_CHECK_FAILURES)
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (cli.EXIT_NEGATIVE, "")
+    failures = ", ".join(
+        f'{{"index": {i}, "monoid": "{m}", "reason": "critical pair oracle disagrees"}}'
+        for i, m in RANDOM_CHECK_FAILURES)
+    assert out == ('{"count": 3, "seed": 0, "catenary": 1, '
+                   f'"failures": [{failures}]}}\n')
 
 
 def test_random_check_carrier_over_cap(capsys):
