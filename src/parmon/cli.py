@@ -73,26 +73,28 @@ def _names(m: PartialMonoid, w: Word) -> list[str]:
 # name, or a message made of names, spaces, parentheses and "=", needs no
 # escaping: the JSON writers quote it inline in json.dumps's layout.
 
+def _emit(args, record: dict, text: str) -> None:
+    """Print a command's one answer: the record as JSON, or the text."""
+    print(json.dumps(record) if args.json else text)
+
+
 def cmd_validate(m, args) -> int:
     """One line, or one JSON array element, per violation as the scan yields it."""
     violations = chain_violations(m)
     first = next(violations, None)
     valid = first is None
-    rows = (_violation_text(m.elements, v) for v in
-            (() if valid else itertools.chain((first,), violations)))
-    write = sys.stdout.write
-    if args.json:
-        write(f'{{"valid": {json.dumps(valid)}, "violations": [')
-        sep = ""
-        for x, y, z, code, message in rows:
-            write(f'{sep}{{"x": "{x}", "y": "{y}", "z": "{z}", '
-                  f'"code": "{code}", "message": "{message}"}}')
-            sep = ", "
+    as_json, write = args.json, sys.stdout.write
+    write(f'{{"valid": {json.dumps(valid)}, "violations": [' if as_json
+          else "valid\n" if valid else "invalid\n")
+    sep = ""
+    for v in () if valid else itertools.chain((first,), violations):
+        x, y, z, code, message = _violation_text(m.elements, v)
+        write(f'{sep}{{"x": "{x}", "y": "{y}", "z": "{z}", '
+              f'"code": "{code}", "message": "{message}"}}' if as_json
+              else f"  {x} {y} {z} [{code}]: {message}\n")
+        sep = ", "
+    if as_json:
         write("]}\n")
-    else:
-        write("valid\n" if valid else "invalid\n")
-        for x, y, z, code, message in rows:
-            write(f"  {x} {y} {z} [{code}]: {message}\n")
     return EXIT_OK if valid else EXIT_INVALID
 
 
@@ -121,10 +123,9 @@ def cmd_confluence(m, args) -> int:
         else:
             write(f'], "oracle_agrees": {json.dumps(agree)}}}\n')
     else:
-        # both pair words have two letters, so neither is eps
         lines = ["confluent" if verdict.confluent else "not confluent"]
         lines += [f"  A0 ({names[x]}, {names[y]}, {names[z]}): "
-                  f"{names[a]}·{names[z]} vs {names[x]}·{names[rows[y][z]]}"
+                  f"{format_word(m, (a, z))} vs {format_word(m, (x, rows[y][z]))}"
                   for x, y, a, mask in verdict.a0_rows for z in set_bits(mask)]
         if agree is not None:
             lines.append("oracle agrees" if agree else "oracle DISAGREES")
@@ -138,17 +139,12 @@ def cmd_normalize(m, args) -> int:
     w = parse_word(m, " ".join(args.word))
     if args.all:
         forms = sorted(normal_forms(m, w), key=lambda f: (len(f), f))
-        if args.json:
-            print(json.dumps({"input": _names(m, w),
-                              "normal_forms": [_names(m, f) for f in forms]}))
-        else:
-            for f in forms:
-                print(format_word(m, f))
+        _emit(args, {"input": _names(m, w), "normal_forms": [_names(m, f) for f in forms]},
+              "\n".join([format_word(m, f) for f in forms]))
         return EXIT_OK
     if args.trace:
         # one line per move as lstd_trace yields it: the identity letter
-        # at i erases (z is None), or the pair at i contracts to z; a
-        # source has a letter to rewrite, so its text form is never eps
+        # at i erases (z is None), or the pair at i contracts to z
         names = m.elements
         write = sys.stdout.write
         for source, i, z in lstd_trace(m, w):
@@ -158,15 +154,11 @@ def cmd_normalize(m, args) -> int:
                 letters = '", "'.join([names[c] for c in source])
                 write(f'{{"word": ["{letters}"], "rule": "{rule}", "position": {i}}}\n')
             else:
-                write(f"{'·'.join([names[c] for c in source])}  --[{rule} @ {i}]-->\n")
+                write(f"{format_word(m, source)}  --[{rule} @ {i}]-->\n")
     result = lstd(m, w)
-    if not args.json:
-        print(format_word(m, result))
-    elif args.trace:
-        print(json.dumps({"word": _names(m, result)}))
-    else:
-        print(json.dumps({"input": _names(m, w),
-                          "normal_form": _names(m, result)}))
+    _emit(args, {"word": _names(m, result)} if args.trace
+          else {"input": _names(m, w), "normal_form": _names(m, result)},
+          format_word(m, result))
     return EXIT_OK
 
 
@@ -174,24 +166,17 @@ def cmd_critical_pairs(m, args) -> int:
     """One line, or one JSON array element, per fork as the walk yields it."""
     names = m.elements
     counts = {"A0": 0, "A1": 0, "B": 0}
-    write = sys.stdout.write
-    if args.json:
-        write('{"triples": [')
-        sep = ""
-        for x, y, z, a, b, kind in essential_critical_pairs(m):
-            counts[kind] += 1
-            write(f'{sep}{{"x": "{names[x]}", "y": "{names[y]}", "z": "{names[z]}", '
-                  f'"a": "{names[a]}", "b": "{names[b]}", "class": "{kind}"}}')
-            sep = ", "
-        write(f'], "counts": {json.dumps(counts)}}}\n')
-    else:
-        write("x y z a b class\n")
-        for x, y, z, a, b, kind in essential_critical_pairs(m):
-            counts[kind] += 1
-            write(f"{names[x]} {names[y]} {names[z]} "
-                  f"{names[a]} {names[b]} {kind}\n")
-        write("counts: " + " ".join(f"{k}={n}" for k, n in counts.items())
-              + "\n")
+    as_json, write = args.json, sys.stdout.write
+    write('{"triples": [' if as_json else "x y z a b class\n")
+    sep = ""
+    for x, y, z, a, b, kind in essential_critical_pairs(m):
+        counts[kind] += 1
+        write(f'{sep}{{"x": "{names[x]}", "y": "{names[y]}", "z": "{names[z]}", '
+              f'"a": "{names[a]}", "b": "{names[b]}", "class": "{kind}"}}' if as_json
+              else f"{names[x]} {names[y]} {names[z]} {names[a]} {names[b]} {kind}\n")
+        sep = ", "
+    write(f'], "counts": {json.dumps(counts)}}}\n' if as_json
+          else "counts: " + " ".join(f"{k}={n}" for k, n in counts.items()) + "\n")
     return EXIT_OK
 
 
@@ -199,11 +184,8 @@ def cmd_star(m, args) -> int:
     u = parse_word(m, args.u)
     v = parse_word(m, args.v)
     product = star(m, u, v)
-    if args.json:
-        print(json.dumps({"u": _names(m, u), "v": _names(m, v),
-                          "product": _names(m, product)}))
-    else:
-        print(format_word(m, product))
+    _emit(args, {"u": _names(m, u), "v": _names(m, v), "product": _names(m, product)},
+          format_word(m, product))
     return EXIT_OK
 
 
@@ -215,77 +197,57 @@ def cmd_assoc_test(m, args) -> int:
     associative = first is None
     confluent = is_confluent(m).confluent
     match = associative == confluent
-    rows = () if associative else itertools.chain((first,), found)
     names = m.elements
-    write = sys.stdout.write
-    if args.json:
-        # the layout is json.dumps's for the dict {"max_len",
-        # "associative", "confluent", "match",
-        # "counterexamples": [{"u", "v", "w", "left", "right"}, ...]}
+    as_json, write = args.json, sys.stdout.write
 
-        def word(w: Word) -> str:
+    def word(w: Word) -> str:
+        if as_json:
             return "[" + ", ".join(['"' + names[c] + '"' for c in w]) + "]"
-        write(f'{{"max_len": {args.max_len}, "associative": {json.dumps(associative)}, '
-              f'"confluent": {json.dumps(confluent)}, "match": {json.dumps(match)}, '
-              '"counterexamples": [')
-        sep = ""
-        for u, v, w, left, right in rows:
-            write(f'{sep}{{"u": {word(u)}, "v": {word(v)}, "w": {word(w)}, '
-                  f'"left": {word(left)}, "right": {word(right)}}}')
-            sep = ", "
-        write("]}\n")
-    else:
-        write(f"associative up to length {args.max_len}: "
-              f"{'yes' if associative else 'no'}\n")
-        for row in rows:
-            u, v, w, left, right = [format_word(m, x) for x in row]
-            write(f"  ({u}, {v}, {w}): {left} != {right}\n")
-        write(f"confluent: {'yes' if confluent else 'no'}\n"
-              f"verdicts match: {'yes' if match else 'no'}\n")
+        return format_word(m, w)
+    # the JSON layout is json.dumps's for the dict {"max_len",
+    # "associative", "confluent", "match",
+    # "counterexamples": [{"u", "v", "w", "left", "right"}, ...]}
+    write(f'{{"max_len": {args.max_len}, "associative": {json.dumps(associative)}, '
+          f'"confluent": {json.dumps(confluent)}, "match": {json.dumps(match)}, '
+          '"counterexamples": [' if as_json
+          else f"associative up to length {args.max_len}: {'yes' if associative else 'no'}\n")
+    sep = ""
+    for row in () if associative else itertools.chain((first,), found):
+        u, v, w, left, right = map(word, row)
+        write(f'{sep}{{"u": {u}, "v": {v}, "w": {w}, "left": {left}, "right": {right}}}'
+              if as_json else f"  ({u}, {v}, {w}): {left} != {right}\n")
+        sep = ", "
+    write("]}\n" if as_json else f"confluent: {'yes' if confluent else 'no'}\n"
+          f"verdicts match: {'yes' if match else 'no'}\n")
     return EXIT_OK if associative else EXIT_NEGATIVE
 
 
 def cmd_simulate(m, args) -> int:
     w = parse_word(m, " ".join(args.word))
-    result = lstd(m, w)
-    segments = _names(m, result)
-    errors = max(0, len(segments) - 1)
-    if args.json:
-        print(json.dumps({"input": _names(m, w), "segments": segments,
-                          "errors": errors}))
-    else:
-        print(" ! ".join(segments) if segments else EMPTY_WORD_TOKEN)
+    segments = _names(m, lstd(m, w))
+    _emit(args, {"input": _names(m, w), "segments": segments,
+                 "errors": max(0, len(segments) - 1)},
+          " ! ".join(segments) if segments else EMPTY_WORD_TOKEN)
     return EXIT_OK
 
 
 def cmd_magma_demo(m, args) -> int:
     t = magma.parse_tree(m, " ".join(args.tree))
-    comb = magma.right_comb(t)
+    comb = magma.format_tree(m, magma.right_comb(t))
     shape, labels = magma._checked_shape(m, t)
     down, up = (magma._chain(m, s, labels) for s in (shape, (1,) * len(shape)))
     evaluation, comb_eval = down[0], up[0]
     convertible = magma._convertible(m, sum(labels, ()), [down, up])
+    tree, rank = magma.format_tree(m, t), magma.rank(t)
     successors = sorted(magma.format_tree(m, s) for s in magma.rotations(t))
-    if args.json:
-        print(json.dumps({
-            "tree": magma.format_tree(m, t),
-            "leaves": magma.leaves(t),
-            "rank": magma.rank(t),
-            "rotations": successors,
-            "right_comb": magma.format_tree(m, comb),
-            "evaluation": _names(m, evaluation),
-            "comb_evaluation": _names(m, comb_eval),
-            "convertible": convertible,
-        }))
-    else:
-        print(f"tree: {magma.format_tree(m, t)}")
-        print(f"leaves: {magma.leaves(t)}  rank: {magma.rank(t)}")
-        for s in successors:
-            print(f"  rotation: {s}")
-        print(f"right comb: {magma.format_tree(m, comb)}")
-        print(f"evaluation: {format_word(m, evaluation)}")
-        print(f"comb evaluation: {format_word(m, comb_eval)}")
-        print(f"convertible: {'yes' if convertible else 'unknown'}")
+    _emit(args, {"tree": tree, "leaves": len(labels), "rank": rank, "rotations": successors,
+                 "right_comb": comb, "evaluation": _names(m, evaluation),
+                 "comb_evaluation": _names(m, comb_eval), "convertible": convertible},
+          "\n".join([f"tree: {tree}", f"leaves: {len(labels)}  rank: {rank}",
+                     *[f"  rotation: {s}" for s in successors],
+                     f"right comb: {comb}", f"evaluation: {format_word(m, evaluation)}",
+                     f"comb evaluation: {format_word(m, comb_eval)}",
+                     f"convertible: {'yes' if convertible else 'unknown'}"]))
     return EXIT_OK
 
 
@@ -310,20 +272,13 @@ def cmd_random_check(_, args) -> int:
             failures.append((i, m, "total but not catenary"))
         if (next(_triple_search(m, 2), None) is None) != verdict.confluent:
             failures.append((i, m, "associativity does not match confluence"))
-    if args.json:
-        print(json.dumps({
-            "count": args.count, "seed": args.seed,
-            "catenary": catenary_seen,
-            "failures": [{"index": i, "monoid": repr(m), "reason": r}
-                         for i, m, r in failures],
-        }))
-    else:
-        print(f"checked {args.count} random monoids "
-              f"(seed {args.seed}, {catenary_seen} catenary)")
-        for i, m, reason in failures:
-            print(f"  FAIL #{i} {m}: {reason}")
-        if not failures:
-            print("all verdicts agree")
+    _emit(args, {"count": args.count, "seed": args.seed, "catenary": catenary_seen,
+                 "failures": [{"index": i, "monoid": repr(m), "reason": r}
+                              for i, m, r in failures]},
+          "\n".join([f"checked {args.count} random monoids "
+                     f"(seed {args.seed}, {catenary_seen} catenary)",
+                     *([f"  FAIL #{i} {m}: {r}" for i, m, r in failures]
+                       or ["all verdicts agree"])]))
     return EXIT_OK if not failures else EXIT_NEGATIVE
 
 

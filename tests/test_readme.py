@@ -5,8 +5,10 @@ every name the package exports from that module and every cap the
 module defines, and names nothing the module lacks.  Every cap is
 quoted with its value somewhere in the README, as `MAX_TRIPLES`
 (2,000,000), and every such number must be the value.  The JSON output
-list names exactly the subcommands the parser registers.  So a name, a cap or a subcommand
-that changes fails here until the README follows.
+list names exactly the subcommands the parser registers.  Every
+backquoted name with an underscore in the notes on the mathematics is
+defined by the package or by the test oracles.  So a name, a cap or a
+subcommand that changes fails here until the README follows.
 """
 
 import ast
@@ -15,6 +17,7 @@ import re
 import types
 from pathlib import Path
 
+import oracles
 import parmon
 from parmon import cli
 
@@ -93,6 +96,16 @@ def test_readme_caps_quote_their_values():
     assert {name for name, _, _ in quoted} == set(values)
     for name, plus_one, number in quoted:
         assert number == f"{values[name] + bool(plus_one):,}", name
+
+
+def test_notes_name_only_what_the_package_has():
+    # identifiers with an underscore are library or oracle names, but
+    # for the parameter names the notes quote
+    modules = [importlib.import_module(f"parmon.{m}") for m in MODULES] + [oracles]
+    quoted = set(re.findall(r"`(\w*_\w*)`", section("Notes on the mathematics")))
+    unknown = [name for name in sorted(quoted - {"max_len"})
+               if not any(hasattr(mod, name) for mod in modules)]
+    assert unknown == []
 
 
 def test_json_output_lists_every_subcommand():
