@@ -464,6 +464,24 @@ def test_golden_output(capsys, fixture, argv, slug):
     assert code == (cli.EXIT_NEGATIVE if negative else cli.EXIT_OK)
 
 
+@pytest.mark.parametrize("fixture", ["ex2", "letters3"])
+@pytest.mark.parametrize("flags, slug, agrees, disagrees", [
+    ([], "confluence-oracle", "oracle agrees\n", "oracle DISAGREES\n"),
+    (["--json"], "confluence-oracle-json",
+     '"oracle_agrees": true}\n', '"oracle_agrees": false}\n'),
+], ids=["text", "json"])
+def test_confluence_oracle_disagrees(capsys, monkeypatch, fixture, flags, slug,
+                                     agrees, disagrees):
+    # an oracle that disagrees exits 3 even on the confluent ex2; the
+    # output is the golden one with the oracle's closing verdict turned
+    monkeypatch.setattr(cli, "newman_check", lambda m: not parmon.is_confluent(m).confluent)
+    code, out, err = run(capsys, "confluence", str(FIXTURES / f"{fixture}.monoid"),
+                         "--oracle", *flags)
+    golden = (GOLDEN / f"{fixture}.{slug}.txt").read_text(encoding="utf-8")
+    assert golden.endswith(agrees)
+    assert (code, out, err) == (cli.EXIT_NEGATIVE, golden[:-len(agrees)] + disagrees, "")
+
+
 @pytest.mark.parametrize("table", ["broken", "violating6"])
 @pytest.mark.parametrize("flags, slug", [([], "validate"),
                                          (["--json"], "validate-json")])
@@ -893,6 +911,32 @@ def test_random_check_reports_failures(capsys, monkeypatch):
                    f'"failures": [{failures}]}}\n')
 
 
+@pytest.mark.parametrize("patch, count, report", [
+    ({"chain_law_holds": lambda m: False}, 1,
+     "checked 1 random monoids (seed 0, 0 catenary)\n"
+     "  FAIL #0 PartialMonoid(5 elements, identity='1', 10 products): "
+     "generator produced an invalid monoid\n"),
+    ({"is_catenary": lambda m: (True, None)}, 2,
+     "checked 2 random monoids (seed 0, 2 catenary)\n"
+     "  FAIL #1 PartialMonoid(5 elements, identity='1', 11 products): "
+     "catenary but not confluent\n"),
+    ({"is_catenary": lambda m: (False, None)}, 5,
+     "checked 5 random monoids (seed 0, 0 catenary)\n"
+     "  FAIL #4 PartialMonoid(2 elements, identity='1', 4 products): "
+     "total but not catenary\n"),
+    ({"_triple_search": lambda m, max_len: iter(())}, 2,
+     "checked 2 random monoids (seed 0, 1 catenary)\n"
+     "  FAIL #1 PartialMonoid(5 elements, identity='1', 11 products): "
+     "associativity does not match confluence\n"),
+], ids=["invalid", "catenary", "not-catenary", "no-counterexample"])
+def test_random_check_failure_reasons(capsys, monkeypatch, patch, count, report):
+    # each check, patched to lie, fails the first table it can
+    for name, fake in patch.items():
+        monkeypatch.setattr(cli, name, fake)
+    code, out, err = run(capsys, "random-check", "--count", str(count), "--seed", "0")
+    assert (code, out, err) == (cli.EXIT_NEGATIVE, report, "")
+
+
 def test_random_check_carrier_over_cap(capsys):
     code, out, err = run(capsys, "random-check", "--max-carrier", "300")
     assert code == cli.EXIT_INVALID
@@ -935,7 +979,8 @@ def test_usage_errors():
     (["assoc-test", LETTERS3, "--max-len", "0"], "--max-len: must be at least 1, got 0"),
     (["random-check", "--count", "-2"], "--count: must be at least 0"),
     (["random-check", "--max-carrier", "0"], "--max-carrier: must be at least 1"),
-], ids=["max-len", "max-len-0", "count", "max-carrier"])
+    (["random-check", "--count", "abc"], "--count: invalid int value: 'abc'"),
+], ids=["max-len", "max-len-0", "count", "max-carrier", "count-not-int"])
 def test_out_of_range_arguments(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
