@@ -368,7 +368,3 @@ def main(argv=None) -> int:
         # interpreter's final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INVALID
-
-
-if __name__ == "__main__":
-    sys.exit(main())

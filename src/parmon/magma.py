@@ -69,11 +69,6 @@ Tree = Union[Leaf, Node]
 Shape = tuple[int, ...]
 
 
-def leaves(t: Tree) -> int:
-    """Number of leaves."""
-    return len(_shape(t)[1])
-
-
 def leaf_labels(t: Tree) -> list[Word]:
     return [leaf.label for leaf in _shape(t)[1]]
 
@@ -117,18 +112,6 @@ def _shape_rotations(s: Shape) -> Iterator[Shape]:
             yield s[:p] + (k1,) + s[p + 2:p + 1 + k1] + (k - k1,) + s[p + 1 + k1:]
 
 
-def _shape_closure(s: Shape) -> set[Shape]:
-    """Every shape reachable from s by rotations, s included."""
-    seen = {s}
-    todo = [s]
-    while todo:
-        for r in _shape_rotations(todo.pop()):
-            if r not in seen:
-                seen.add(r)
-                todo.append(r)
-    return seen
-
-
 def rank(t: Tree) -> int:
     """Termination measure for rotation; zero exactly on right combs."""
     shape, _ = _shape(t)
@@ -143,8 +126,12 @@ def rotations(t: Tree) -> set[Tree]:
 
 def rotation_closure(t: Tree) -> set[Tree]:
     """Every tree reachable by rotations, t included."""
-    shape, found = _shape(t)
-    return {_tree(s, found) for s in _shape_closure(shape)}
+    seen, todo = {t}, [t]
+    while todo:
+        new = rotations(todo.pop()) - seen
+        seen |= new
+        todo += new
+    return seen
 
 
 def right_comb(t: Tree) -> Tree:

@@ -96,13 +96,12 @@ def _counterexamples(m: PartialMonoid, max_len: int, find_all: bool
         if sum(last[x] * c * (mask & zs).bit_count() for x, _, _, mask in a0_rows
                for c, zs in starters.items()) > MAX_COUNTEREXAMPLES:
             raise ValueError(f"more than {MAX_COUNTEREXAMPLES} counterexamples; lower max_len")
-        starting: list[list[Word]] = [[] for _ in rows]  # (c,) first, for c not the identity
+        starting: list[list[Word]] = [[] for _ in rows]
         for w in words:
             starting[w[0]].append(w)
         forks = {x: list(g) for x, g in itertools.groupby(a0_rows, key=lambda r: r[0])}
         # layers are grouped by first letter, so sorting by length keeps enumeration order
-        found = (AssocCounterexample(u, starting[y][0], w, u[:-1] + starting[a][0] + w,
-                                     u + (rows[y][w[0]],) + w[1:])
+        found = (AssocCounterexample(u, (y,), w, u[:-1] + (a,) + w, u + (rows[y][w[0]],) + w[1:])
                  for u in words for _, y, a, mask in forks.get(u[-1], ())
                  for w in sorted([t for z in set_bits(mask) for t in starting[z]], key=len))
     yield from found if find_all else itertools.islice(found, 1)

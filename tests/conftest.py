@@ -85,6 +85,18 @@ def sample_tables():
     return tables + mutants
 
 
+def all_shapes(labels):
+    """Every bracketing of the given leaf labels."""
+    if len(labels) == 1:
+        return [P.Leaf(labels[0])]
+    out = []
+    for i in range(1, len(labels)):
+        for l in all_shapes(labels[:i]):
+            for r in all_shapes(labels[i:]):
+                out.append(P.Node(l, r))
+    return out
+
+
 def wrd(m, text):
     return P.parse_word(m, text)
 

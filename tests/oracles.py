@@ -6,6 +6,8 @@ appear twice, in two different shapes, to slip through.  The exceptions,
 brute_assoc_triples, brute_assoc_congruence and star_fold, fold
 with the public star product, the definition that the shortcuts of
 associativity_search, assoc_modulo_congruence and evaluate must match.
+brute_assoc_congruence also shares one library search,
+convertible_bounded, which decides each triple's convertibility.
 The tree oracles rotate and rank nested trees by recursion on the tree,
 where parmon.magma works on flat shapes.
 """
@@ -14,7 +16,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from parmon import Leaf, Node, convertible_bounded, enumerate_irreducible, star
+from parmon import Leaf, Node, convertible_bounded, star
 
 
 def table_of(m):
@@ -132,12 +134,12 @@ def brute_assoc_counterexamples(m, max_len):
 def brute_assoc_congruence(m, max_len):
     """Are the two bracketings of each irreducible triple convertible?
 
-    Every triple of enumerate_irreducible(m, max_len), in product order,
+    Every triple of brute_irreducible(m, max_len), in product order,
     folded both ways with the checked star product and searched with
     convertible_bounded, capped at the triple's letter count.
     """
     mul = functools.lru_cache(maxsize=None)(lambda a, b: star(m, a, b))
-    irr = enumerate_irreducible(m, max_len)
+    irr = brute_irreducible(m, max_len)
     out = {}
     for u, v, w in itertools.product(irr, repeat=3):
         left = mul(mul(u, v), w)

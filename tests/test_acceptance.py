@@ -11,6 +11,7 @@ import time
 import pytest
 
 import parmon as P
+from conftest import all_shapes
 from oracles import brute_assoc_congruence, brute_assoc_triples
 from parmon.rewriting import _sweep
 
@@ -31,17 +32,6 @@ def pool():
 def words_over(letters, max_len):
     for length in range(max_len + 1):
         yield from itertools.product(letters, repeat=length)
-
-
-def all_shapes(labels):
-    if len(labels) == 1:
-        return [P.Leaf(labels[0])]
-    out = []
-    for i in range(1, len(labels)):
-        for l in all_shapes(labels[:i]):
-            for r in all_shapes(labels[i:]):
-                out.append(P.Node(l, r))
-    return out
 
 
 def test_criterion_1_fixture_verdicts(ex2, letters3):

@@ -1063,6 +1063,13 @@ def test_package_parses_as_python_3_10():
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
+def test_package_lines_fit_99_columns():
+    for path in sorted((ROOT / "src" / "parmon").glob("*.py")):
+        wide = [i for i, line in enumerate(path.read_text().splitlines(), 1)
+                if len(line) > 99]
+        assert wide == [], f"{path.name}: lines longer than 99 characters: {wide}"
+
+
 def test_closed_pipe_ends_quietly(tmp_path):
     # as under `| head -1`: exit 1 and an empty stderr, not a
     # BrokenPipeError traceback.  Each output, over 100 kB, outgrows the

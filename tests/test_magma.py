@@ -7,21 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmon as P
-from conftest import wrd
+from conftest import all_shapes, wrd
 from oracles import (brute_one_step, brute_rank, brute_rotation_closure,
                      brute_rotations, star_fold)
-
-
-def all_shapes(labels):
-    """Every bracketing of the given leaf labels."""
-    if len(labels) == 1:
-        return [P.Leaf(labels[0])]
-    out = []
-    for i in range(1, len(labels)):
-        for l in all_shapes(labels[:i]):
-            for r in all_shapes(labels[i:]):
-                out.append(P.Node(l, r))
-    return out
 
 
 def leaf_trees(m, letters, n):
@@ -47,9 +35,9 @@ def pentagon(letters3):
 def test_leaves_and_labels(ex2):
     x, y = wrd(ex2, "x"), wrd(ex2, "y")
     t = P.Node(P.Leaf(x), P.Node(P.Leaf(y), P.Leaf(x)))
-    assert P.leaves(t) == 3
+    assert len(P.leaf_labels(t)) == 3
     assert P.leaf_labels(t) == [x, y, x]
-    assert P.leaves(P.Leaf(x)) == 1
+    assert len(P.leaf_labels(P.Leaf(x))) == 1
 
 
 def test_rank_examples(ex2, letters3, pentagon):
@@ -309,11 +297,12 @@ def left_comb(m, names):
 
 def test_long_left_comb_verifies_quickly(letters3, monkeypatch):
     # its closure has 1,767,263,190 trees, none of them listed, but its
-    # chart tries 48,256 star evaluations
+    # chart tries 48,256 star evaluations; every closure walk takes
+    # rotation steps, and the chart takes none
     def refuse(shape):
-        raise AssertionError("the closure was enumerated")
+        raise AssertionError("a rotation step was taken")
 
-    monkeypatch.setattr(P.magma, "_shape_closure", refuse)
+    monkeypatch.setattr(P.magma, "_shape_rotations", refuse)
     t = left_comb(letters3, ("abc" * 7)[:20])
     start = time.perf_counter()
     assert P.verify_rotation_invariance(letters3, t)
@@ -416,7 +405,7 @@ def test_one_certificate_per_distinct_evaluation(certificate_cases, monkeypatch)
     differ = 0
     for m, trees in certificate_cases:
         for t in trees:
-            if P.leaves(t) > 4:
+            if len(P.leaf_labels(t)) > 4:
                 continue
             calls.clear()
             assert P.verify_rotation_invariance(m, t)
@@ -535,7 +524,7 @@ def test_parse_tree_depth_bound(ex2):
     text = "(" * depth + "x" + " x)" * depth
     t = P.parse_tree(ex2, text)
     assert P.format_tree(ex2, t) == text
-    assert P.leaves(t) == depth + 1
+    assert len(P.leaf_labels(t)) == depth + 1
     assert P.evaluate(ex2, t) == wrd(ex2, " ".join(["x"] * (depth + 1)))
     # one bracket more is refused before any parsing, unbalanced or not
     for deeper in ("(" * (depth + 1) + "x" + " x)" * (depth + 1), "(" * (depth + 1)):
@@ -548,7 +537,7 @@ def test_parse_tree_leaf_bound(ex2):
     # count is bounded too, even when the bracketing is shallow
     depth = P.magma.MAX_TREE_DEPTH
     t = P.parse_tree(ex2, "(x " * depth + "x" + ")" * depth)
-    assert P.leaves(P.right_comb(t)) == depth + 1
+    assert len(P.leaf_labels(P.right_comb(t))) == depth + 1
     balanced = "x"
     while balanced.count("x") <= depth + 1:
         balanced = f"({balanced} {balanced})"
