@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .monoid import PartialMonoid
+from .monoid import CARRIER_CAP, PartialMonoid
 from .words import Word, check_word
 
 
@@ -76,6 +76,10 @@ def lstd(m: PartialMonoid, w: Word) -> Word:
     return _lstd(m, w)
 
 
+# the row an empty stack offers every letter: no products
+_NO_PRODUCTS: tuple[None, ...] = (None,) * CARRIER_CAP
+
+
 def _lstd(m: PartialMonoid, w: Word,
           moves: Optional[list[tuple[int, Optional[int]]]] = None) -> Word:
     """lstd of a word already known to be in range.
@@ -83,7 +87,11 @@ def _lstd(m: PartialMonoid, w: Word,
     Single left-to-right pass: keep the already-irreducible prefix on a
     stack; an incoming letter merges with the stack top while products
     are defined, and a merge to the identity drops both letters.  This
-    is exactly the left standard schedule, without its rescans.
+    is exactly the left standard schedule, without its rescans.  An
+    identity letter is erased before any lookup.  The pass holds the
+    row of the stack top in a local, and an empty stack reads the
+    shared all-None row _NO_PRODUCTS, so only a contraction, which
+    pops, asks whether the stack is empty.
 
     Given a list, the pass appends to moves each plain step (i, z) it
     makes: the letters at i and i + 1 contract to z, or the letter at i
@@ -94,13 +102,16 @@ def _lstd(m: PartialMonoid, w: Word,
     """
     identity, rows = m.identity, m.rows
     stack: list[int] = []
+    top = _NO_PRODUCTS  # the row of the stack top
     for cur in w:
         while cur != identity:
-            z = rows[stack[-1]][cur] if stack else None
+            z = top[cur]
             if z is None:
                 stack.append(cur)
+                top = rows[cur]
                 break
             stack.pop()
+            top = rows[stack[-1]] if stack else _NO_PRODUCTS
             cur = z
             if moves is not None:
                 moves.append((len(stack), z))

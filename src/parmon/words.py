@@ -8,16 +8,28 @@ factors), which lets them be enumerated by one-letter extension.
 
 from __future__ import annotations
 
-from .monoid import EMPTY_WORD_TOKEN, PartialMonoid
+from .monoid import CARRIER_CAP, EMPTY_WORD_TOKEN, PartialMonoid
 
 Word = tuple[int, ...]
 
 EMPTY: Word = ()
 
+_LETTERS = bytes(range(CARRIER_CAP))  # every letter index a carrier can have
+
 
 def check_word(m: PartialMonoid, w: Word) -> None:
-    """Raise ValueError unless every letter of w indexes an element of m."""
-    if w and (min(w) < 0 or max(w) >= len(m.rows)):
+    """Raise ValueError unless every letter of w indexes an element of m.
+
+    One C-level pass: bytes(w) rejects any letter outside 0..255 and
+    any letter that is not an integer, and deleting the bytes 0..n-1
+    leaves exactly the letters >= n.  That is exact because no carrier
+    has more than CARRIER_CAP = 256 elements.
+    """
+    try:
+        ok = not bytes(w).translate(None, _LETTERS[:len(m.rows)])
+    except (TypeError, ValueError):  # a letter outside 0..255, or not an integer
+        ok = False
+    if not ok:
         raise ValueError(f"unknown element index in word {w}")
 
 

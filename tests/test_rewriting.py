@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmon as P
-from conftest import relabeled, wrd
+from conftest import cyclic_group, relabeled, wrd
 from oracles import (brute_normal_forms, brute_one_step, brute_reachable,
                      iterated_left_standard, left_standard_schedule,
                      left_standard_successors)
@@ -238,12 +238,41 @@ WORD_FUNCTIONS = {
 
 @pytest.mark.parametrize("name", sorted(WORD_FUNCTIONS))
 def test_out_of_range_letters_raise(ex2, name):
-    # a negative letter must not wrap onto the last row of the table
+    # a negative letter must not wrap onto the last row of the table, and
+    # a letter past the carrier is out of range whether or not it fits a byte
     fn = WORD_FUNCTIONS[name]
     n, x, e = ex2.size, ex2.index("x"), ex2.identity
-    for w in ((-1,), (n,), (x, -1), (-1, x), (x, n), (n, x), (e, -1), (e, n)):
+    for w in ((-1,), (n,), (x, -1), (-1, x), (x, n), (n, x), (e, -1), (e, n),
+              (255,), (256,), (-257,), (x, 255), (x, 256), (e, -257)):
         with pytest.raises(ValueError, match="unknown element index"):
             fn(ex2, w)
+
+
+@pytest.mark.parametrize("name", sorted(WORD_FUNCTIONS))
+def test_non_integer_letters_raise(ex2, name):
+    # a float letter must not pass as the element it equals, and a str or
+    # None letter gets the same message, not a bare TypeError
+    fn = WORD_FUNCTIONS[name]
+    x, e = ex2.index("x"), ex2.identity
+    for w in ((1.0,), (float(x),), ("x",), (None,), (x, 2.0), (x, "y"), (e, None)):
+        with pytest.raises(ValueError, match="unknown element index"):
+            fn(ex2, w)
+    fn(ex2, (True,))  # a bool is an int, so it stays a letter
+
+
+def test_letters_up_to_the_carrier_cap():
+    # on a 256-element carrier letter 255 is in range: on an empty stack it
+    # reads the last entry of the shared empty row; 256 is past the carrier
+    m = cyclic_group(256)
+    last = 255
+    assert P.is_irreducible(m, (last,))
+    assert P.format_word(m, (last,)) == "g255"
+    for w, nf in (((last,), (last,)), ((last, last), (254,)),
+                  ((last, 1, last), (last,)), ((0, last, 0), (last,))):
+        assert P.lstd(m, w) == iterated_left_standard(m, w) == nf
+    for fn in WORD_FUNCTIONS.values():
+        with pytest.raises(ValueError, match="unknown element index"):
+            fn(m, (256,))
 
 
 # ------------------------------------------------------------------ decomposition
@@ -330,6 +359,31 @@ def test_recorded_moves_are_plain_steps(ex2, letters3, group2, sample_tables):
                 assert (i, nxt) in steps(m, word)
                 word = nxt
             assert word == got == P.lstd(m, w)
+
+
+def test_long_recorded_passes(ex2, cyc8):
+    # seeded 1,024-letter words, identity letters included: the stack pass
+    # with and without moves matches the schedule, and its moves replay as
+    # plain steps; over cyc8 annihilations empty the stack mid-word, and
+    # over the invalid table where a*b = b but a*a is undefined, one b
+    # contracts with every a below it
+    cascade = P.PartialMonoid(["1", "a", "b"], 0, {(1, 2): 2})
+    rng = random.Random(1024)
+    emptied = 0
+    for m in (ex2, P.gen_no_common_letters_monoid("abcd"), cyc8, cascade):
+        rows, e = m.rows, m.identity
+        for _ in range(3):
+            w = tuple(rng.choices(range(m.size), k=1024))
+            moves = []
+            got = P.rewriting._lstd(m, w, moves)
+            assert got == P.rewriting._lstd(m, w) == iterated_left_standard(m, w)
+            word = w
+            for i, z in moves:
+                assert word[i] == e if z is None else rows[word[i]][word[i + 1]] == z
+                emptied += z == e and i == 0 and len(word) > 2
+                word = P.rewriting._apply(word, i, z)
+            assert word == got
+    assert emptied > 0
 
 
 def test_lstd_equals_iterated_schedule(ex2, letters3, group2, du2):
