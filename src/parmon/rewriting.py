@@ -157,66 +157,44 @@ def _trace(m: PartialMonoid, w: Word) -> Iterator[tuple[Word, int, Optional[int]
 
 def convertible_bounded(m: PartialMonoid, u: Word, v: Word,
                         max_len: Optional[int] = None) -> Optional[list[Word]]:
-    """Search for a conversion u <-> ... <-> v through words of bounded length.
+    """A shortest conversion u <-> ... <-> v through words of bounded length.
 
-    Bidirectional breadth-first search over single steps in either
-    direction, never visiting a word longer than max_len (default
-    len(u) + len(v)).  A reverse step inserts the identity letter
-    anywhere, or replaces a letter by any defined pair producing it.
-    Returns the path as a word list, or None when no conversion exists
-    within the bound.  None means not found, not refuted: a longer
-    detour could still connect the two words.
+    Breadth-first search from u over single steps either way, never
+    visiting a word longer than max_len (default len(u) + len(v)).  A
+    reverse step, taken only from a word shorter than max_len, inserts
+    the identity letter anywhere or replaces a letter by any defined pair
+    producing it, so every step can be undone and the answer does not
+    depend on the order of u and v.  Returns a shortest path as a word
+    list, or None when no conversion exists within the bound: not found,
+    not refuted, since a longer detour could still connect the words.
+    A max_len below len(u) or len(v) raises ValueError.
     """
     check_word(m, u)
     check_word(m, v)
     if max_len is None:
         max_len = len(u) + len(v)
-    if u == v:
-        return [u]
-    identity = m.identity
+    if max_len < max(len(u), len(v)):
+        raise ValueError(f"max_len {max_len} is below the length of a word to convert")
     factors: dict[int, list[Word]] = {}
     for x, y, z in m.products:
         factors.setdefault(z, []).append((x, y))
-
-    def neighbors(w: Word) -> list[Word]:
-        """Sorted one-step reducts, then reverse steps within max_len."""
-        out = [r for _, r in sorted(set(_steps(m, w)))]
+    parents: dict[Word, Optional[Word]] = {u: None}
+    queue = [u]
+    for w in queue:  # the queue grows behind the loop, one length of path at a time
+        if v in parents:
+            break
+        nbs = [r for _, r in _steps(m, w)]
         if len(w) < max_len:
-            out += [w[:i] + (identity,) + w[i:] for i in range(len(w) + 1)]
-            out += [w[:i] + xy + w[i + 1:]
+            nbs += [w[:i] + (m.identity,) + w[i:] for i in range(len(w) + 1)]
+            nbs += [w[:i] + xy + w[i + 1:]
                     for i, c in enumerate(w) for xy in factors.get(c, ())]
-        return out
-
-    parents_a: dict[Word, Optional[Word]] = {u: None}
-    parents_b: dict[Word, Optional[Word]] = {v: None}
-    frontier_a, frontier_b = [u], [v]
-
-    def stitch(meet: Word) -> list[Word]:
-        path: list[Word] = []
-        node: Optional[Word] = meet
-        while node is not None:
-            path.append(node)
-            node = parents_a[node]
-        path.reverse()
-        node = parents_b[meet]
-        while node is not None:
-            path.append(node)
-            node = parents_b[node]
-        return path
-
-    while frontier_a and frontier_b:
-        if len(frontier_a) > len(frontier_b):
-            frontier_a, frontier_b = frontier_b, frontier_a
-            parents_a, parents_b = parents_b, parents_a
-        nxt = []
-        for w in frontier_a:
-            for nb in neighbors(w):
-                if nb in parents_a:
-                    continue
-                parents_a[nb] = w
-                if nb in parents_b:
-                    path = stitch(nb)
-                    return path if path[0] == u else path[::-1]
-                nxt.append(nb)
-        frontier_a = nxt
-    return None
+        for nb in nbs:
+            if nb not in parents:
+                parents[nb] = w
+                queue.append(nb)
+    if v not in parents:
+        return None
+    path = [v]
+    while (w := parents[path[-1]]) is not None:
+        path.append(w)
+    return path[::-1]

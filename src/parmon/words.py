@@ -18,16 +18,18 @@ _LETTERS = bytes(range(CARRIER_CAP))  # every letter index a carrier can have
 
 
 def check_word(m: PartialMonoid, w: Word) -> None:
-    """Raise ValueError unless every letter of w indexes an element of m.
+    """Raise ValueError unless w is a sequence of letters indexing elements of m.
 
     One C-level pass: bytes(w) rejects any letter outside 0..255 and
     any letter that is not an integer, and deleting the bytes 0..n-1
     leaves exactly the letters >= n.  That is exact because no carrier
-    has more than CARRIER_CAP = 256 elements.
+    has more than CARRIER_CAP = 256 elements.  len(w) is read first, as
+    bytes() would take an int for a size and use up an iterator.
     """
     try:
+        len(w)
         ok = not bytes(w).translate(None, _LETTERS[:len(m.rows)])
-    except (TypeError, ValueError):  # a letter outside 0..255, or not an integer
+    except (TypeError, ValueError):  # no length, a letter outside 0..255, or not an integer
         ok = False
     if not ok:
         raise ValueError(f"unknown element index in word {w}")

@@ -7,7 +7,8 @@ brute_assoc_triples, brute_assoc_congruence and star_fold, fold
 with the public star product, the definition that the shortcuts of
 associativity_search, assoc_modulo_congruence and evaluate must match.
 brute_assoc_congruence also shares one library search,
-convertible_bounded, which decides each triple's convertibility.
+convertible_bounded, which decides each triple's convertibility;
+brute_conversion_distances is the oracle that search is checked against.
 The tree oracles rotate and rank nested trees by recursion on the tree,
 where parmon.magma works on flat shapes.
 """
@@ -260,6 +261,32 @@ def brute_reachable(m, w):
                     nxt.append(r)
         frontier = nxt
     return seen
+
+
+def brute_conversion_distances(m, u, max_len):
+    """Fewest steps from u to each word it converts to within max_len.
+
+    Every word up to max_len is joined to each of its brute_one_step
+    reducts; a breadth-first search from u follows these edges both ways.
+    """
+    t = table_of(m)
+    joined = {}
+    for length in range(max_len + 1):
+        for w in itertools.product(range(len(m.elements)), repeat=length):
+            for r in _one_step(t, m.identity, w):
+                joined.setdefault(w, []).append(r)
+                joined.setdefault(r, []).append(w)
+    dist = {u: 0}
+    frontier = [u]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for r in joined.get(w, ()):
+                if r not in dist:
+                    dist[r] = dist[w] + 1
+                    nxt.append(r)
+        frontier = nxt
+    return dist
 
 
 # ------------------------------------------------------------------ the left standard schedule

@@ -58,14 +58,20 @@ def test_benchmark_imports_resolve(ex2, letters3):
 def test_benchmark_tiny_pass_is_correct(tmp_path, monkeypatch):
     # one in-process pass of each workload against its known answers, so
     # a change the import check cannot see, like a field becoming a
-    # property, still shows
+    # property, still shows; then one traced pass, whose probes are the
+    # benchmark's only calls to convertible_bounded, rotation_closure,
+    # evaluate, leaf_labels and star
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    from tracer import NullTracer
+    from tracer import NullTracer, Tracer
     from workloads import SCALES, WORKLOADS
     for name, workload in WORKLOADS.items():
-        tr = NullTracer()
-        workdir = tmp_path / name
-        workdir.mkdir()
-        result = workload(3, SCALES["tiny"], tr, workdir).run(tr)
-        assert result["attempted"] >= 1, name
-        assert result["failed"] == 0, name
+        for tr in (NullTracer(), Tracer()):
+            workdir = tmp_path / f"{name}-{type(tr).__name__}"
+            workdir.mkdir()
+            job = workload(3, SCALES["tiny"], tr, workdir)
+            result = job.run(tr)
+            assert result["attempted"] >= 1, name
+            assert result["failed"] == 0, name
+        counters, _ = job.counters(tr)
+        if name == "star-algebra":
+            assert counters["rewriting.convertible_bounded.found_ratio"] == 1.0

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parmon as P
-from conftest import cyclic_group, relabeled, wrd
-from oracles import (brute_normal_forms, brute_one_step, brute_reachable,
-                     iterated_left_standard, left_standard_schedule,
-                     left_standard_successors)
+from conftest import cyclic_group, one_product_edits, relabeled, wrd
+from oracles import (brute_conversion_distances, brute_normal_forms,
+                     brute_one_step, brute_reachable, iterated_left_standard,
+                     left_standard_schedule, left_standard_successors)
 from parmon import cli
 from parmon.rewriting import _steps, _sweep
 
@@ -251,10 +251,13 @@ def test_out_of_range_letters_raise(ex2, name):
 @pytest.mark.parametrize("name", sorted(WORD_FUNCTIONS))
 def test_non_integer_letters_raise(ex2, name):
     # a float letter must not pass as the element it equals, and a str or
-    # None letter gets the same message, not a bare TypeError
+    # None letter gets the same message, not a bare TypeError; an int is no
+    # word, not even a size for bytes() to allocate, and an iterator is not
+    # used up by the check
     fn = WORD_FUNCTIONS[name]
     x, e = ex2.index("x"), ex2.identity
-    for w in ((1.0,), (float(x),), ("x",), (None,), (x, 2.0), (x, "y"), (e, None)):
+    for w in ((1.0,), (float(x),), ("x",), (None,), (x, 2.0), (x, "y"), (e, None),
+              3, 10**18, iter((x, e))):
         with pytest.raises(ValueError, match="unknown element index"):
             fn(ex2, w)
     fn(ex2, (True,))  # a bool is an int, so it stays a letter
@@ -626,3 +629,37 @@ def test_convertible_symmetric(letters3):
     assert fwd is not None and bwd is not None
     assert fwd[0] == (ab, a) and fwd[-1] == (a, ba)
     assert bwd[0] == (a, ba) and bwd[-1] == (ab, a)
+
+
+def test_convertible_bound_below_an_endpoint_raises(ex2):
+    # below either word's length the bound would cut one end off, and the
+    # answer would depend on which end the search starts from
+    x, e = ex2.index("x"), ex2.identity
+    for u, v, max_len in (((e, x), (x,), 1), ((e, e, e), (), 2), ((e,), (), 0)):
+        for a, b in ((u, v), (v, u)):
+            with pytest.raises(ValueError, match="max_len"):
+                P.convertible_bounded(ex2, a, b, max_len)
+        assert P.convertible_bounded(ex2, u, v, max_len + 1) is not None
+
+
+def test_convertible_matches_brute_force_search(ex2, group2, sample_tables):
+    # every pair of words up to length 2, on valid and invalid tables: a
+    # path exactly when the brute-force search over all words up to the
+    # bound finds one, and never longer than its distance
+    letters2 = P.gen_no_common_letters_monoid("ab")
+    x, y = ex2.index("x"), ex2.index("y")
+    edits = [e for e in one_product_edits(ex2, [(x, x), (y, x)]) if not P.validate(e).valid]
+    tables = [ex2, group2, letters2, *edits[:4], *(m for m in sample_tables if m.size <= 5)]
+    assert len(tables) >= 10
+    assert sum(not P.validate(m).valid for m in tables) >= 5
+    for m in tables:
+        for max_len in (3, 4):
+            for u in all_words(m, 2):
+                dist = brute_conversion_distances(m, u, max_len)
+                for v in all_words(m, 2):
+                    path = P.convertible_bounded(m, u, v, max_len)
+                    assert (path is not None) == (v in dist), (m, u, v, max_len)
+                    if path is not None:
+                        assert is_conversion_path(m, path, u, v)
+                        assert len(path) - 1 == dist[v]
+                        assert all(len(w) <= max_len for w in path)
